@@ -12,8 +12,9 @@ Asserts the tentpole contract:
 * **throughput** — >= 1M simulated job completions per wall-clock
   minute on a >= 1000-node fleet;
 * **identity** — on a small cluster the engine's dispatch records and
-  schedule fingerprints are bitwise-identical to the pre-existing
-  :class:`ClusterScheduler` loop (the correctness oracle).
+  schedule fingerprints are bitwise-identical to
+  ``repro.cluster.reference.reference_dispatch`` (the correctness
+  oracle).
 
 Results land in ``BENCH_fleet.json`` (override the path with
 ``REPRO_BENCH_FLEET_JSON``) — the file ``repro-gpu benchgate

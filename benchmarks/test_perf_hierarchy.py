@@ -15,7 +15,7 @@ Asserts the tentpole contract:
 * **fairness** — Jain's index over per-job slowdowns is no worse than
   least-loaded's (within 0.01);
 * **identity** — with placement off, the fleet dispatch path stays
-  bitwise-identical to the :class:`ClusterScheduler` oracle.
+  bitwise-identical to the ``reference_dispatch`` oracle.
 
 Results land in ``BENCH_hierarchy.json`` (override the path with
 ``REPRO_BENCH_HIERARCHY_JSON``) — the file ``repro-gpu benchgate

@@ -2,7 +2,8 @@
 """Multi-GPU cluster simulation — the paper's Section VI extension.
 
 Scenario: a 4-GPU node pool draining a 96-job backlog. The two-level
-scheduler dispatches 12-job windows to the earliest-free GPU; the
+scheduler (the event-driven fleet engine) dispatches 12-job windows to
+GPUs as they free up; the
 per-window policy switches between the RL co-scheduler (crowded) and
 FCFS (light load) via the policy selector the paper sketches as future
 work. The run is repeated with plain FCFS everywhere to quantify the
@@ -14,7 +15,7 @@ Run:  python examples/cluster_simulation.py [episodes]
 import sys
 
 from repro import ActionCatalog, MixCategory, OfflineTrainer, OnlineOptimizer, QueueGenerator
-from repro.cluster import ClusterScheduler, ClusterState, CoSchedulingPolicy, FcfsPolicy, PolicySelector
+from repro.cluster import ClusterState, CoSchedulingPolicy, FcfsPolicy, FleetEngine, PolicySelector
 from repro.core.evaluation import profile_all_benchmarks
 from repro.workloads.jobs import JobQueue
 
@@ -30,6 +31,26 @@ def build_backlog(seed: int) -> JobQueue:
     for i in range(BACKLOG // 12):
         names.extend(gen.queue(cats[i % 4], w=12).benchmark_names)
     return JobQueue.from_benchmarks(names, name="backlog")
+
+
+def drain(selector: PolicySelector) -> dict:
+    """Dispatch the backlog over a fresh cluster and summarise the run."""
+    engine = FleetEngine(
+        ClusterState.homogeneous(N_GPUS), selector, window_size=12, keep_history=True
+    )
+    engine.submit_queue(build_backlog(seed=42))
+    result = engine.run()
+    history = result.history
+    per_node: dict[str, int] = {}
+    for r in history:
+        per_node[r.node_name] = per_node.get(r.node_name, 0) + 1
+    return {
+        "makespan": result.makespan,
+        "utilization": result.utilization,
+        "windows_dispatched": len(history),
+        "mean_window_gain": sum(r.throughput_gain for r in history) / len(history),
+        "windows_per_node": per_node,
+    }
 
 
 def main() -> None:
@@ -48,10 +69,7 @@ def main() -> None:
     )
 
     print(f"\ndispatching {BACKLOG} jobs over {N_GPUS} GPUs (co-scheduling) ...")
-    cluster = ClusterState.homogeneous(N_GPUS)
-    scheduler = ClusterScheduler(cluster=cluster, selector=selector)
-    scheduler.run(build_backlog(seed=42))
-    co = scheduler.summary()
+    co = drain(selector)
 
     print("re-running the same backlog with FCFS only ...")
     fcfs_selector = PolicySelector(
@@ -59,10 +77,7 @@ def main() -> None:
         fcfs=FcfsPolicy(),
         crowding_threshold=10**9,  # never crowded -> always FCFS
     )
-    fcfs_cluster = ClusterState.homogeneous(N_GPUS)
-    fcfs_sched = ClusterScheduler(cluster=fcfs_cluster, selector=fcfs_selector)
-    fcfs_sched.run(build_backlog(seed=42))
-    fc = fcfs_sched.summary()
+    fc = drain(fcfs_selector)
 
     print("\n=== cluster results ===")
     print(f"{'':<24s} {'co-scheduling':>14s} {'FCFS':>10s}")

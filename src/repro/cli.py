@@ -68,6 +68,7 @@ from repro.core.evaluation import profile_all_benchmarks
 from repro.core.metrics import evaluate_schedule
 from repro.core.optimizer import OnlineOptimizer
 from repro.core.trainer import OfflineTrainer
+from repro.errors import ReproError
 from repro.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.gpu.arch import A100_40GB
 from repro.gpu.device import SimulatedGpu
@@ -966,6 +967,19 @@ def _cmd_statcheck(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
+def _int_at_least(low: int):
+    """An argparse ``type`` for integers ``>= low``, so a bad count is
+    rejected before any training starts."""
+
+    def count(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid count value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-gpu",
@@ -1025,12 +1039,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_cluster_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("queue", nargs="?", default="Q1", help="Q1..Q12")
-        p.add_argument("--gpus", type=int, default=2)
-        p.add_argument("--repeat", type=int, default=1,
+        positive = _int_at_least(1)
+        p.add_argument("--gpus", type=positive, default=2)
+        p.add_argument("--repeat", type=positive, default=1,
                        help="submit the queue this many times")
-        p.add_argument("--window", type=int, default=12)
+        p.add_argument("--window", type=positive, default=12)
         p.add_argument("--c-max", type=int, default=4)
-        p.add_argument("--episodes", type=int, default=800)
+        p.add_argument("--episodes", type=positive, default=800)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--crowding", type=int, default=2,
                        help="queue depth per free GPU that triggers "
@@ -1040,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 disables injection)")
         p.add_argument("--fault-seed", type=int, default=0,
                        help="seed for the deterministic fault injector")
-        p.add_argument("--max-retries", type=int, default=3,
+        p.add_argument("--max-retries", type=_int_at_least(0), default=3,
                        help="retry cap for transient faults and job re-queues")
         p.add_argument("--insight", metavar="DIR",
                        help="record per-window RL decisions and write "
@@ -1274,7 +1289,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ReproError as exc:
+        # a domain error is a bad input, not a crash: one line, exit 2
+        print(f"repro-gpu {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

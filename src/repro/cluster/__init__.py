@@ -7,37 +7,36 @@ extension:
 
 * :mod:`repro.cluster.node` — a node hosting one or more simulated
   GPUs, each with its own wall clock;
-* :mod:`repro.cluster.scheduler` — a two-level scheduler: the top level
-  dispatches job windows to the least-loaded GPU, the bottom level is
-  the node-local RL optimizer (or any window scheduler);
 * :mod:`repro.cluster.policy` — the policy-selection mechanism the
   paper sketches: co-scheduling for over-crowded queues, plain FCFS
   when the system is lightly loaded;
+* :mod:`repro.cluster.fleet` — the two-level scheduler as a
+  discrete-event engine: the top level dispatches job windows to GPUs
+  as they free up, the bottom level is the node-local RL optimizer (or
+  any window scheduler); open-loop arrivals and admission control
+  scale it to thousands of nodes and millions of jobs;
 * :mod:`repro.cluster.batch` — a Slurm-shaped batch-system facade
-  (sbatch/squeue/sinfo/sacct) over the two-level scheduler, the
+  (sbatch/squeue/sinfo/scancel/sacct) over the fleet engine, the
   integration surface the paper names as future work;
-* :mod:`repro.cluster.fleet` — the discrete-event fleet engine: an
-  event heap on the simulated clock (arrivals, window completions,
-  reconfigurations, faults, checkpoints) with open-loop arrival
-  processes and admission control, scaling the same dispatch semantics
-  to thousands of nodes and millions of jobs.
+* :mod:`repro.cluster.reference` — the fault-free per-round dispatch
+  loop, kept as the engine's bitwise identity oracle.
 
-Both schedulers are failure-aware: attach a
-:class:`repro.faults.FaultInjector` and they retry transient device /
-MIG-reconfiguration faults with exponential backoff, degrade
-unconfigurable groups to solo runs, re-queue crashed jobs up to a
-retry cap, and fall back to FCFS when the window policy raises.
+The engine is failure-aware: attach a
+:class:`repro.faults.FaultInjector` and it retries transient device /
+MIG-reconfiguration faults with exponential backoff, degrades
+unconfigurable groups to solo runs, re-queues crashed jobs up to a
+retry cap, and falls back to FCFS when the window policy raises.
 """
 
 from repro.faults import FaultConfig, FaultInjector, FaultKind, RetryPolicy
 from repro.cluster.node import ExecutionOutcome, GpuNode, ClusterState
-from repro.cluster.scheduler import ClusterScheduler, DispatchRecord
 from repro.cluster.policy import PolicySelector, FcfsPolicy, CoSchedulingPolicy
 from repro.cluster.batch import BatchSystem, BatchJob, JobState
 from repro.cluster.fleet import (
     AdmissionPolicy,
     AdmitAll,
     BoundedQueue,
+    DispatchRecord,
     EventHeap,
     EventKind,
     FleetEngine,
@@ -55,7 +54,6 @@ __all__ = [
     "ExecutionOutcome",
     "GpuNode",
     "ClusterState",
-    "ClusterScheduler",
     "DispatchRecord",
     "PolicySelector",
     "FcfsPolicy",

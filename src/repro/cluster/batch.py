@@ -1,4 +1,4 @@
-"""A Slurm-like batch-system facade over the cluster scheduler.
+"""A Slurm-like batch-system facade over the fleet engine.
 
 The paper's stated integration target is "an existing HPC cluster
 management tool such as Slurm" (Sections VI/VII). This module provides
@@ -8,21 +8,20 @@ verbs —
 * :meth:`BatchSystem.sbatch` — submit a job (returns a job id),
 * :meth:`BatchSystem.squeue` — pending/running/completed job states,
 * :meth:`BatchSystem.sinfo` — per-GPU node states,
+* :meth:`BatchSystem.scancel` — withdraw a pending job,
 * :meth:`BatchSystem.tick` — advance simulated wall-clock time,
   dispatching windows to free GPUs under the configured policy
-  selector (co-scheduling when crowded, FCFS otherwise).
+  selector (co-scheduling when crowded, FCFS otherwise),
+* :meth:`BatchSystem.sacct` — accounting over finished jobs.
 
-Time is event-driven: the system dispatches whenever a GPU is free and
-enough jobs are pending; job completion times come from the underlying
-schedule simulation.
-
-Fault tolerance: with a :class:`~repro.faults.FaultInjector` attached,
-dispatch survives injected faults — transient device errors and MIG
-reconfiguration failures are retried with exponential backoff (and an
-unconfigurable group degrades to solo runs), crashed jobs are
-re-queued up to ``max_retries`` times before landing in the terminal
-``FAILED`` state, and a window whose policy raises (e.g. the RL
-optimizer) falls back to FCFS instead of aborting the drain.
+Every verb drives one :class:`~repro.cluster.fleet.FleetEngine`, so
+dispatch, fault tolerance (retry with backoff, degraded solo runs,
+crash requeues up to ``max_retries`` before the terminal ``FAILED``
+state, FCFS fallback when a policy raises) and telemetry are the
+engine's. The engine runs the exact MIG/MPS device state machines, so
+traces carry per-device ``run_group`` spans. Per-job records come from
+:class:`_JobRecorder`, a pure observer on the engine's ``lifecycle=``
+hook.
 """
 
 from __future__ import annotations
@@ -31,23 +30,17 @@ import enum
 import heapq
 from dataclasses import dataclass
 
-from repro.clock import time_le, time_lt
+from repro.clock import time_le
 from repro.errors import SchedulingError
 from repro.faults import FaultInjector, RetryPolicy
+from repro.obs.trace import LifecycleHooks
 from repro.telemetry.facade import NULL_TELEMETRY, Telemetry
+from repro.cluster.fleet import FleetEngine
 from repro.cluster.node import ClusterState
 from repro.cluster.policy import PolicySelector
-from repro.cluster.scheduler import DispatchRecord
 from repro.workloads.jobs import Job
 
 __all__ = ["JobState", "BatchJob", "BatchSystem"]
-
-#: queue-wait histogram buckets (simulated seconds)
-_WAIT_BUCKETS = (
-    1.0, 5.0, 15.0, 60.0, 300.0, 900.0, 1800.0, 3600.0, 7200.0, 14400.0,
-)
-#: windows per dispatch round (batched-serving batch size)
-_BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
 class JobState(enum.Enum):
@@ -83,6 +76,52 @@ class BatchJob:
         return self.end_time - self.submit_time
 
 
+class _JobRecorder(LifecycleHooks):
+    """Keeps :class:`BatchJob` records in step with the engine.
+
+    The engine settles every attempt when it dispatches the window, so
+    each attempt's outcome is known before it happens. A dispatched job
+    is ``RUNNING``; its outcome (``COMPLETED``, ``FAILED``, or back to
+    ``PENDING`` after a crash) waits on a time heap until
+    :meth:`settle` passes the attempt's finish or crash time.
+    """
+
+    def __init__(self, records: dict[str, BatchJob]):
+        self.records = records
+        self.outcomes: list[tuple[float, str, JobState]] = []  # (time, job id, state)
+
+    def attempt(
+        self, job, start, finish, node_name, policy, fell_back, crashed,
+        window_size, window_seen, cache_hits=None,
+    ) -> None:
+        self.settle(start)  # a re-dispatch follows the crash that re-queued it
+        record = self.records[job.job_id]
+        record.state = JobState.RUNNING
+        record.node = node_name
+        record.start_time = start
+        record.end_time = finish
+
+    def requeued(self, job, t: float) -> None:
+        heapq.heappush(self.outcomes, (t, job.job_id, JobState.PENDING))
+
+    def completed(self, job, t: float, wait: float) -> None:
+        heapq.heappush(self.outcomes, (t, job.job_id, JobState.COMPLETED))
+
+    def failed(self, job, t: float) -> None:
+        heapq.heappush(self.outcomes, (t, job.job_id, JobState.FAILED))
+
+    def settle(self, now: float) -> None:
+        """Apply every attempt outcome due by ``now``."""
+        outcomes = self.outcomes
+        while outcomes and time_le(outcomes[0][0], now):
+            _, job_id, state = heapq.heappop(outcomes)
+            record = self.records[job_id]
+            if state is JobState.PENDING:
+                record.retries += 1
+                record.node = record.start_time = record.end_time = None
+            record.state = state
+
+
 class BatchSystem:
     """Miniature batch scheduler with a Slurm-shaped interface."""
 
@@ -97,37 +136,28 @@ class BatchSystem:
         max_retries: int = 3,
         telemetry: Telemetry = NULL_TELEMETRY,
     ):
-        if window_size < 1:
-            raise SchedulingError("window size must be positive")
-        if min_batch < 1:
-            raise SchedulingError("min batch must be positive")
-        if max_retries < 0:
-            raise SchedulingError("max_retries cannot be negative")
         self.cluster = cluster
-        self.selector = selector
-        self.window_size = window_size
-        self.min_batch = min_batch
-        self.faults = faults
-        self.retry = retry or RetryPolicy()
-        self.max_retries = max_retries
         self.telemetry = telemetry
-        self.now = 0.0
-        self.fallback_windows = 0  # policy raised -> FCFS took over
-        self.dispatch_retries = 0  # device-level retries spent
-        self.degraded_groups = 0  # groups that fell back to solo runs
-        self.history: list[DispatchRecord] = []  # one entry per dispatch
         self._records: dict[str, BatchJob] = {}
-        self._pending: list[str] = []
-        # RUNNING jobs keyed on end time, so each completion is
-        # processed exactly once (tick used to rescan every record ever
-        # submitted per loop iteration — quadratic over long drains)
-        self._running: list[tuple[float, str]] = []
-        if faults is not None:
-            for node in cluster.nodes:
-                node.device.faults = faults
-            faults.telemetry = telemetry
-        for node in cluster.nodes:
-            node.device.telemetry = telemetry
+        self._recorder = _JobRecorder(self._records)
+        self.engine = FleetEngine(
+            cluster,
+            selector,
+            window_size=window_size,
+            min_batch=min_batch,
+            faults=faults,
+            retry=retry,
+            max_retries=max_retries,
+            telemetry=telemetry,
+            exact_execution=True,
+            keep_history=True,
+            lifecycle=self._recorder,
+        )
+        self.history = self.engine.history  # one DispatchRecord per window
+
+    @property
+    def now(self) -> float:
+        return self.engine.now
 
     # ------------------------------------------------------------------
     # user-facing verbs
@@ -136,16 +166,7 @@ class BatchSystem:
         """Submit one job; returns its job id."""
         job = Job.submit(benchmark_name, user=user)
         self._records[job.job_id] = BatchJob(job=job, submit_time=self.now)
-        self._pending.append(job.job_id)
-        if self.telemetry.enabled:
-            self.telemetry.event(
-                "sbatch",
-                "batch",
-                self.now,
-                category="batch",
-                job=benchmark_name,
-            )
-            self.telemetry.count("jobs_submitted_total", 1)
+        self.engine.submit(job)
         return job.job_id
 
     def squeue(self, state: JobState | None = None) -> list[BatchJob]:
@@ -184,239 +205,33 @@ class BatchSystem:
                 f"job {job_id} is {record.state.value}; only pending jobs "
                 "can be cancelled"
             )
-        self._pending.remove(job_id)
+        self.engine.cancel(job_id)
         record.state = JobState.CANCELLED
 
     # ------------------------------------------------------------------
     # time advance / dispatch
     # ------------------------------------------------------------------
     def tick(self, until: float) -> int:
-        """Advance the clock to ``until``, dispatching whenever a GPU is
-        free and at least ``min_batch`` jobs are pending. Returns how
-        many dispatches happened.
-
-        Each iteration cuts one window per currently-free GPU and
-        schedules the whole round as a batch: co-scheduling windows
-        share one batched serving pass (lockstep inference plus the
-        decision cache) instead of one optimizer call each. Execution
-        and accounting stay per-window; jobs re-queued by a crash join
-        a later round.
-        """
+        """Advance the clock to ``until``, dispatching a window whenever
+        a GPU frees and at least ``min_batch`` jobs are pending. Returns
+        how many windows were dispatched."""
         if until < self.now:
             raise SchedulingError("time cannot run backwards")
-        dispatched = 0
-        self.now = until
-        while True:
-            # pop completions up to the current time off the running heap
-            while self._running and time_le(self._running[0][0], self.now):
-                _, jid = heapq.heappop(self._running)
-                record = self._records[jid]
-                if record.state is JobState.RUNNING:
-                    self._complete(record)
-            free_nodes = sorted(
-                (
-                    n for n in self.cluster.nodes
-                    if time_le(n.available_at, self.now)
-                ),
-                key=lambda n: n.available_at,
-            )  # stable sort: ties keep cluster order, like least_loaded()
-            if not free_nodes or len(self._pending) < self.min_batch:
-                break
-            # cut one window per free GPU, earliest-available first
-            cuts: list[tuple] = []
-            for k, node in enumerate(free_nodes):
-                if len(self._pending) < self.min_batch:
-                    break
-                take = min(self.window_size, len(self._pending))
-                ids = self._pending[:take]
-                self._pending = self._pending[take:]
-                window = [self._records[i].job for i in ids]
-                policy = self.selector.select(
-                    queue_depth=len(self._pending) + take,
-                    free_gpus=max(len(free_nodes) - k, 1),
-                )
-                cuts.append((node, ids, window, policy))
-            scheduled = self.selector.schedule_batch(
-                [(window, policy) for _, _, window, policy in cuts]
-            )
-            if self.telemetry.enabled:
-                self.telemetry.observe(
-                    "dispatch_batch_windows",
-                    float(len(cuts)),
-                    buckets=_BATCH_BUCKETS,
-                )
-            for (node, ids, window, policy), (schedule, fell_back) in zip(
-                cuts, scheduled
-            ):
-                self._dispatch(node, ids, policy, schedule, fell_back)
-                dispatched += 1
-        return dispatched
+        before = self.engine.stats.windows
+        self.engine.advance_to(until)
+        self._recorder.settle(self.now)
+        return self.engine.stats.windows - before
 
     def drain(self) -> float:
-        """Dispatch everything pending (advancing time as needed) and
-        return the final makespan.
+        """Dispatch everything pending, the last partial window included,
+        and return the final makespan.
 
         Terminates even under heavy fault injection: a job can only
-        re-queue ``max_retries`` times before it is ``FAILED``, so the
-        pending list strictly shrinks in job-attempts.
-
-        Time advances by jumping to the next event (a node freeing up or
-        a completion), never by a fixed epsilon nudge: the old
-        ``horizon + 1e-6`` step is absorbed by float64 rounding once the
-        clock is large (at ``t = 1e12`` the ulp is ``~1.2e-4``), which
-        froze the clock and turned the drain into a spin loop.
+        re-queue ``max_retries`` times before it is ``FAILED``.
         """
-        while self._pending:
-            horizon = max(self.now, self.cluster.least_loaded().available_at)
-            saved_min = self.min_batch
-            self.min_batch = 1  # allow the final partial window
-            try:
-                if self.tick(horizon) == 0:
-                    next_event = self._next_event_time()
-                    if next_event is None:  # pragma: no cover - defensive
-                        raise SchedulingError(
-                            "drain stalled: jobs pending but no future events"
-                        )
-                    self.now = next_event
-            finally:
-                self.min_batch = saved_min
-        self.now = max(self.now, self.cluster.makespan)
-        while self._running:
-            _, jid = heapq.heappop(self._running)
-            record = self._records[jid]
-            if record.state is JobState.RUNNING:
-                self._complete(record)
+        self.engine.run()  # ends at the last completion
+        self._recorder.settle(self.now)
         return self.cluster.makespan
-
-    def _next_event_time(self) -> float | None:
-        """Earliest strictly-future completion or node-availability
-        time — the drain's jump target when nothing dispatched."""
-        candidates = [t for t, _ in self._running[:1]]
-        candidates.extend(n.available_at for n in self.cluster.nodes)
-        future = [c for c in candidates if time_lt(self.now, c)]
-        return min(future) if future else None
-
-    def _complete(self, record: BatchJob) -> None:
-        record.state = JobState.COMPLETED
-        if self.telemetry.enabled:
-            self.telemetry.count("jobs_completed_total", 1)
-
-    def _dispatch(
-        self, node, ids: list[str], policy, schedule, fell_back: bool
-    ) -> None:
-        """Execute one already-scheduled window and do its accounting.
-
-        The window was cut and scheduled by :meth:`tick`'s dispatch
-        round (``fell_back`` marks a policy failure that degraded the
-        window to FCFS — graceful degradation costs this window its
-        co-scheduling gain, never the whole drain).
-        """
-        take = len(ids)
-        if fell_back:
-            self.fallback_windows += 1
-        start = max(self.now, node.available_at)
-        node.device.clock = start
-        if self.telemetry.enabled:
-            self.telemetry.gauge("queue_depth", len(self._pending))
-            for jid in ids:
-                self.telemetry.observe(
-                    "queue_wait_seconds",
-                    start - self._records[jid].submit_time,
-                    buckets=_WAIT_BUCKETS,
-                )
-            if fell_back:
-                self.telemetry.event(
-                    "fallback",
-                    node.name,
-                    start,
-                    category="scheduler",
-                    policy=self.selector.fcfs.name,
-                )
-                self.telemetry.count("policy_fallbacks_total", 1, node=node.name)
-        outcome = node.execute_schedule_ft(schedule, self.retry)
-        self.dispatch_retries += outcome.retries
-        self.degraded_groups += outcome.degraded_groups
-        failed = set(outcome.failed_job_ids)
-        n_failed = 0
-        for jid in ids:
-            r = self._records[jid]
-            if jid in failed and r.retries < self.max_retries:
-                r.retries += 1
-                r.state = JobState.PENDING
-                r.node = None
-                r.start_time = None
-                r.end_time = None
-                self._pending.append(jid)
-                n_failed += 1
-                if self.telemetry.enabled:
-                    self.telemetry.event(
-                        "requeue",
-                        node.name,
-                        outcome.end_time,
-                        category="batch",
-                        job=r.job.benchmark_name,
-                        attempt=r.retries,
-                    )
-                    self.telemetry.count("job_requeues_total", 1)
-                continue
-            r.node = node.name
-            r.start_time = start
-            r.end_time = outcome.finish_of[jid]
-            if jid in failed:
-                r.state = JobState.FAILED  # terminal: retry budget spent
-                n_failed += 1
-                if self.telemetry.enabled:
-                    self.telemetry.event(
-                        "job_failed",
-                        node.name,
-                        outcome.finish_of[jid],
-                        category="batch",
-                        job=r.job.benchmark_name,
-                    )
-                    self.telemetry.count("jobs_failed_total", 1)
-            else:
-                r.state = JobState.RUNNING
-                heapq.heappush(self._running, (r.end_time, jid))
-        effective_policy = self.selector.fcfs.name if fell_back else policy.name
-        self.history.append(
-            DispatchRecord(
-                node_name=node.name,
-                policy_name=effective_policy,
-                window_size=take,
-                start_time=start,
-                end_time=outcome.end_time,
-                throughput_gain=schedule.throughput_gain,
-                retries=outcome.retries,
-                fell_back=fell_back,
-                n_failed=n_failed,
-            )
-        )
-        if self.telemetry.enabled:
-            self.telemetry.span(
-                "window",
-                node.name,
-                start,
-                outcome.end_time,
-                category="scheduler",
-                policy=effective_policy,
-                window_size=take,
-                gain=schedule.throughput_gain,
-                retries=outcome.retries,
-                fell_back=fell_back,
-                n_failed=n_failed,
-            )
-            self.telemetry.count(
-                "windows_dispatched_total",
-                1,
-                node=node.name,
-                policy=effective_policy,
-            )
-            self.telemetry.observe(
-                "window_gain", schedule.throughput_gain, node=node.name
-            )
-            self.telemetry.observe(
-                "window_seconds", outcome.end_time - start, node=node.name
-            )
 
     # ------------------------------------------------------------------
     # accounting
@@ -435,14 +250,15 @@ class BatchSystem:
         waits = [r.wait_time for r in done] or [0.0]
         turns = [r.turnaround for r in done] or [0.0]
         states = [r.state for r in self._records.values()]
+        stats = self.engine.stats
         return {
             "completed": len(done),
             "failed": states.count(JobState.FAILED),
             "cancelled": states.count(JobState.CANCELLED),
             "job_retries": sum(r.retries for r in self._records.values()),
-            "dispatch_retries": self.dispatch_retries,
-            "fallback_windows": self.fallback_windows,
-            "degraded_groups": self.degraded_groups,
+            "dispatch_retries": stats.dispatch_retries,
+            "fallback_windows": stats.fallback_windows,
+            "degraded_groups": stats.degraded_groups,
             "mean_wait": sum(waits) / len(waits),
             "mean_turnaround": sum(turns) / len(turns),
             "makespan": self.cluster.makespan,

@@ -1,21 +1,21 @@
-"""Discrete-event fleet simulation core (datacenter-scale dispatch).
+"""Discrete-event fleet simulation core — the only dispatch loop.
 
-The per-window loops in :mod:`repro.cluster.scheduler` and
-:mod:`repro.cluster.batch` are faithful to the paper's two-level
-scheduler but advance time by scanning every node and nudging a float
-clock — fine for a handful of GPUs, hopeless for the
+The paper's two-level scheduler (Section VI) dispatches windows of the
+global queue to GPUs as they free up; the node-local RL optimizer (or
+FCFS under light load) schedules each window. This module runs that
+loop on a priority-queue **event heap** over the simulated clock, so the
+same semantics scale from a handful of GPUs to the
 reconfigurable-machine-scheduling setting of Tan et al. (serving on
 partitionable MIG accelerators) at thousands of nodes and millions of
-arrivals. This module is the scalable core: a priority-queue **event
-heap** on the simulated clock carrying
+arrivals. The heap carries
 
 * **job arrivals** (closed submissions or open-loop
   :mod:`repro.workloads.arrivals` processes),
 * **window completions** (a node's occupancy drains; the node rejoins
   the idle pool),
 * **requeues** (a crashed job re-enters the queue *at its failure
-  time*, not at dispatch time — the event heap fixes the old loops'
-  time-travelling requeue),
+  time*, not at dispatch time — the retired per-window loops
+  re-queued it retroactively, a time-travel bug),
 * **reconfigurations and faults** (planned repartition pauses and node
   outages that push a node's availability horizon),
 * **checkpoints** (periodic statistics snapshots).
@@ -24,18 +24,18 @@ Time always jumps to the next event — there is no epsilon stepping, so
 the engine keeps making progress at arbitrarily large simulated clocks
 (see :func:`repro.clock.time_le` for the tolerance story).
 
-Dispatch semantics are the batch system's: each round cuts one window
-per idle GPU, selects the per-window policy by crowding, and schedules
-the whole round through :meth:`PolicySelector.schedule_batch` — one
-batched serving pass (lockstep inference plus the fleet-wide decision
-cache) per round. Execution replays the already-simulated schedule via
+Each dispatch round cuts one window per idle GPU, selects the
+per-window policy by crowding, and schedules the whole round through
+:meth:`PolicySelector.schedule_batch` — one batched serving pass
+(lockstep inference plus the fleet-wide decision cache) per round.
+Execution replays the already-simulated schedule via
 :meth:`GpuNode.execute_schedule_fast` (bitwise-identical outcomes to
 the exact path, minus device state-machine overhead); pass
 ``exact_execution=True`` to drive the full MIG/MPS state machines
-instead. On small clusters the engine's dispatch log is
-bitwise-identical to :class:`ClusterScheduler`/:class:`BatchSystem`
-(the fingerprint tests pin this), which is what makes the old loops'
-semantics the correctness oracle for the new core.
+instead. :class:`repro.cluster.batch.BatchSystem` is a Slurm-verb
+facade over this engine. On fault-free runs the dispatch log is
+bitwise-identical to :func:`repro.cluster.reference.reference_dispatch`,
+the original per-round loop kept as the identity oracle.
 
 Open-loop operation adds **admission control**: an
 :class:`AdmissionPolicy` sees every arrival and may shed it
@@ -70,16 +70,16 @@ from repro.errors import SchedulingError
 from repro.faults import FaultInjector, RetryPolicy
 from repro.obs.phase import PhaseTimers
 from repro.obs.sketch import QuantileSketch
-from repro.obs.trace import LifecycleTracer
+from repro.obs.trace import LifecycleHooks, LifecycleTracer
 from repro.telemetry.facade import NULL_TELEMETRY, Telemetry
 from repro.cluster.node import ClusterState
 from repro.cluster.policy import PolicySelector
-from repro.cluster.scheduler import DispatchRecord
 from repro.power.model import PowerModel
 from repro.workloads.jobs import Job
 from repro.workloads.suite import PAPER_CLASSES
 
 __all__ = [
+    "DispatchRecord",
     "EventKind",
     "EventHeap",
     "AdmissionPolicy",
@@ -107,6 +107,21 @@ def window_signature(names) -> str:
 
 #: windows per dispatch round (batched-serving batch size)
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+
+
+@dataclass(frozen=True)
+class DispatchRecord:
+    """One window dispatched to one GPU."""
+
+    node_name: str
+    policy_name: str
+    window_size: int
+    start_time: float
+    end_time: float
+    throughput_gain: float
+    retries: int = 0  # device-level retries spent on this window
+    fell_back: bool = False  # policy raised; FCFS scheduled the window
+    n_failed: int = 0  # jobs that crashed during this window
 
 
 class EventKind(enum.IntEnum):
@@ -143,6 +158,17 @@ class EventHeap:
 
     def peek_time(self) -> float:
         return self._heap[0][0]
+
+    def take(self, match) -> tuple[EventKind, object] | None:
+        """Remove the entry whose ``(kind, payload)`` satisfies ``match``
+        and return it; ``None`` when nothing matches."""
+        heap = self._heap
+        for i, (_, kind, _, payload) in enumerate(heap):
+            if match(EventKind(kind), payload):
+                del heap[i]
+                heapq.heapify(heap)
+                return EventKind(kind), payload
+        return None
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -225,6 +251,7 @@ class FleetStats:
     requeues: int = 0
     completed: int = 0
     failed: int = 0
+    cancelled: int = 0  # admitted jobs withdrawn by cancel()
     windows: int = 0
     fallback_windows: int = 0
     dispatch_retries: int = 0
@@ -295,6 +322,7 @@ class FleetStats:
             "requeues": self.requeues,
             "completed": self.completed,
             "failed": self.failed,
+            "cancelled": self.cancelled,
             "windows": self.windows,
             "fallback_windows": self.fallback_windows,
             "dispatch_retries": self.dispatch_retries,
@@ -417,7 +445,7 @@ class FleetEngine:
         keep_history: bool = False,
         placement=None,
         power_model: PowerModel | None = None,
-        lifecycle: LifecycleTracer | None = None,
+        lifecycle: LifecycleHooks | None = None,
         profile: PhaseTimers | None = None,
         decision_clock: Clock | None = None,
     ):
@@ -487,7 +515,7 @@ class FleetEngine:
         # checkpoints and end of run (constant facade cost per frame)
         self._policy_windows: dict[str, int] = {}
         self._batch_rounds: dict[int, int] = {}
-        self._synced_completed = 0
+        self._synced_counts: dict[str, int] = {}
         n = len(cluster.nodes)
         self._gen = [0] * n  # availability generation (outage bumps)
         self._is_idle = [True] * n
@@ -586,9 +614,15 @@ class FleetEngine:
 
         Every iteration pops the *batch* of events sharing the next
         timestamp, applies them, and runs one dispatch round — so nodes
-        freed at the same instant share one batched serving pass,
-        exactly like the old loops' rounds.
+        freed at the same instant share one batched serving pass. Only
+        a full drain (no ``until``) relaxes ``min_batch`` to dispatch a
+        final partial window; a horizon-limited run holds it back, since
+        its caller may still submit more work.
         """
+        drain = until is None
+        if drain and self._queue_depth():
+            # a horizon-limited run may have held a partial window back
+            self._dispatch_round(drain)
         events = self.events
         timers = self.profile
         # the loop accumulates event_pop locally and flushes one
@@ -611,7 +645,7 @@ class FleetEngine:
             if clk is not None:
                 pop_seconds += clk() - t0
                 pop_calls += 1
-            self._dispatch_round()
+            self._dispatch_round(drain)
         if timers is not None and pop_calls:
             timers.add("event_pop", pop_seconds, pop_calls)
         self._sync_metrics()
@@ -769,10 +803,17 @@ class FleetEngine:
                     policy=policy_name,
                 )
             self._policy_windows.clear()
-        delta = stats.completed - self._synced_completed
-        if delta:
-            tel.count("jobs_completed_total", delta)
-            self._synced_completed = stats.completed
+        synced = self._synced_counts
+        for name, value in (
+            ("jobs_completed_total", stats.completed),
+            ("jobs_failed_total", stats.failed),
+            ("job_requeues_total", stats.requeues),
+            ("policy_fallbacks_total", stats.fallback_windows),
+        ):
+            delta = value - synced.get(name, 0)
+            if delta:
+                tel.count(name, delta)
+                synced[name] = value
         if self._batch_rounds:
             for size in sorted(self._batch_rounds):
                 tel.observe(
@@ -844,7 +885,7 @@ class FleetEngine:
         self.stats.admitted += 1
         self._node_pending[node_index].append((job, t))
         self.placements.append((job.benchmark_name, node_index))
-        self._dispatch_round()
+        self._dispatch_round(drain=True)
 
     def advance_to(self, t: float) -> None:
         """Process every event up to ``t``, then move the clock there
@@ -852,6 +893,45 @@ class FleetEngine:
         self.run(until=t)
         if t > self.now:
             self.now = float(t)
+
+    def cancel(self, job_id: str) -> None:
+        """Withdraw a job that has not been dispatched: one waiting in a
+        queue, or a submission or requeue still in the heap. An admitted
+        job is counted ``cancelled`` instead of ``completed``/``failed``;
+        a submission still in the heap was never counted at all.
+        """
+        queues = self._node_pending if self._node_pending is not None else [self._pending]
+        for queue in queues:
+            for entry in queue:
+                if entry[0].job_id == job_id:
+                    queue.remove(entry)
+                    self._withdrawn(entry[0])
+                    return
+
+        def holds(kind: EventKind, payload) -> bool:
+            if kind is EventKind.ARRIVAL:
+                item = payload[1]  # a Job or a benchmark name
+                return isinstance(item, Job) and item.job_id == job_id
+            return kind is EventKind.REQUEUE and payload[0].job_id == job_id
+
+        taken = self.events.take(holds)
+        if taken is None:
+            raise SchedulingError(f"job {job_id} is not waiting in the engine")
+        kind, payload = taken
+        if kind is EventKind.REQUEUE:
+            self._live_requeues -= 1
+            self._withdrawn(payload[0])
+        else:
+            self._live_arrivals -= 1
+            if payload[0] is not None:
+                self._pull_arrival(payload[0])
+
+    def _withdrawn(self, job: Job) -> None:
+        """Account an admitted job that :meth:`cancel` removed."""
+        self._attempts.pop(job.job_id, None)
+        self.stats.cancelled += 1
+        if self.lifecycle is not None:
+            self.lifecycle.cancelled(job, self.now)
 
     # --- per-node observation accessors (PlacementObservation inputs) --
     def node_queue(self, index: int):
@@ -884,19 +964,19 @@ class FleetEngine:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _dispatch_round(self) -> int:
+    def _dispatch_round(self, drain: bool) -> int:
         """Cut one window per ready idle GPU and run the round.
 
-        Mirrors the batch system's round semantics (same policy
-        selection arguments, same window cuts) so small-fleet dispatch
-        logs are bitwise-comparable to the old loops. Once all arrival
-        sources are dry, the last partial window dispatches regardless
-        of ``min_batch`` — the drain semantics.
+        Same policy selection arguments and window cuts as
+        :func:`~repro.cluster.reference.reference_dispatch`, so
+        fault-free dispatch logs are bitwise-comparable to it. In a
+        ``drain`` round with all arrival sources dry, the last partial
+        window dispatches regardless of ``min_batch``.
         """
         if self._node_pending is not None:
-            return self._dispatch_round_placed()
+            return self._dispatch_round_placed(drain)
         pending = self._pending
-        min_batch = self.min_batch if self._work_incoming() else 1
+        min_batch = 1 if drain and not self._work_incoming() else self.min_batch
         if self._idle_count == 0 or len(pending) < min_batch:
             return 0
         # how many windows this round can cut
@@ -949,14 +1029,14 @@ class FleetEngine:
             self._batch_rounds[n] = self._batch_rounds.get(n, 0) + 1
         return scheduled, round_hits
 
-    def _dispatch_round_placed(self) -> int:
+    def _dispatch_round_placed(self, drain: bool) -> int:
         """Hierarchical round: one window per ready idle node, cut from
         that node's *own* queue (the placement level already decided
         which jobs live where). Crowding selection sees the node-local
         queue depth with ``free_gpus=1`` — each node is its own
         single-GPU serving domain below the placement level."""
         queues = self._node_pending
-        min_batch = self.min_batch if self._work_incoming() else 1
+        min_batch = 1 if drain and not self._work_incoming() else self.min_batch
         if self._idle_count == 0:
             return 0
         ready: list[tuple[float, int, int]] = []
@@ -998,6 +1078,11 @@ class FleetEngine:
             stats.fallback_windows += 1
         start = max(self.now, node.available_at)
         node.device.clock = start
+        if fell_back and self.telemetry.enabled:
+            self.telemetry.event(
+                "fallback", node.name, start, category="fleet",
+                policy=self.selector.fcfs.name,
+            )
         t0 = timers.clock() if timers is not None else 0.0
         if self.exact_execution:
             outcome = node.execute_schedule_ft(schedule, self.retry)
@@ -1053,11 +1138,22 @@ class FleetEngine:
                     )
                     if terminal is not None:
                         terminal.append((job, submit_time, "requeue"))
+                    if self.telemetry.enabled:
+                        self.telemetry.event(
+                            "requeue", node.name, outcome.finish_of[jid],
+                            category="fleet", job=job.benchmark_name,
+                            attempt=attempts + 1,
+                        )
                 else:
                     self._attempts.pop(jid, None)
                     stats.failed += 1
                     if terminal is not None:
                         terminal.append((job, submit_time, "failed"))
+                    if self.telemetry.enabled:
+                        self.telemetry.event(
+                            "job_failed", node.name, outcome.finish_of[jid],
+                            category="fleet", job=job.benchmark_name,
+                        )
             else:
                 self._attempts.pop(jid, None)
                 stats.completed += 1
@@ -1158,7 +1254,7 @@ class FleetEngine:
         )
         if self.profile is not None:
             doc["phases"] = self.profile.to_dict()
-        if self.lifecycle is not None:
+        if isinstance(self.lifecycle, LifecycleTracer):
             doc["lifecycle_open_jobs"] = self.lifecycle.open_jobs
             doc["lifecycle_finished"] = self.lifecycle.finished
         return doc

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from repro.errors import ReproError
 from repro.telemetry.export import device_timelines
 from repro.telemetry.facade import Telemetry
-from repro.telemetry.registry import Histogram, SketchMetric
+from repro.telemetry.registry import SketchMetric
 from repro.telemetry.tracer import Event, Span
 
 __all__ = [
@@ -220,21 +220,15 @@ class AlertEngine:
         )]
 
     def _scan_queue_wait(self) -> list[Alert]:
-        """p95 queue wait vs. the SLO, read off either wait metric.
-
-        Accepts the batch path's ``queue_wait_seconds``
-        :class:`Histogram` (reservoir quantiles, sketch-backed beyond
-        the reservoir) and the fleet path's ``fleet_queue_wait_seconds``
-        :class:`SketchMetric`; both expose ``count`` / ``quantile`` /
-        ``maximum`` on their snapshots, so one detector covers both.
-        """
+        """p95 queue wait vs. the SLO, read off the fleet engine's
+        ``fleet_queue_wait_seconds`` :class:`SketchMetric`."""
         cfg = self.config
         metric = next(
             (
                 m
                 for m in self.telemetry.registry.collect()
-                if m.name in ("queue_wait_seconds", "fleet_queue_wait_seconds")
-                and isinstance(m, (Histogram, SketchMetric))
+                if m.name == "fleet_queue_wait_seconds"
+                and isinstance(m, SketchMetric)
             ),
             None,
         )

@@ -506,6 +506,39 @@ def measure_serving_bench(
     }
 
 
+def _matches_reference(make_selector, window_size: int, seed: int) -> bool:
+    """The small-cluster identity contract: a fault-free
+    :class:`~repro.cluster.fleet.FleetEngine` drain of eight balanced
+    windows over 3 GPUs must reproduce
+    :func:`~repro.cluster.reference.reference_dispatch`'s dispatch
+    records and schedule fingerprints, float for float."""
+    from repro.cluster.fleet import FleetEngine
+    from repro.cluster.node import ClusterState
+    from repro.cluster.reference import reference_dispatch
+    from repro.core.serving import schedule_fingerprint
+    from repro.workloads.generator import MixCategory, QueueGenerator
+    from repro.workloads.jobs import Job
+
+    gen = QueueGenerator(seed=seed, training_only=True)
+    names: list[str] = []
+    for _ in range(8):
+        names.extend(gen.queue(MixCategory.BALANCED, w=window_size).benchmark_names)
+    jobs = [Job.submit(name) for name in names]
+    records, schedules = reference_dispatch(
+        ClusterState.homogeneous(3), make_selector(), window_size, jobs
+    )
+    engine = FleetEngine(
+        ClusterState.homogeneous(3), make_selector(),
+        window_size=window_size, keep_history=True,
+    )
+    for job in jobs:
+        engine.submit(job, at=0.0)
+    result = engine.run()
+    return records == result.history and [
+        schedule_fingerprint(s) for s in schedules
+    ] == [schedule_fingerprint(s) for s in result.schedules]
+
+
 def measure_fleet_bench(
     n_nodes: int = 1000,
     n_jobs: int = 120_000,
@@ -528,9 +561,9 @@ def measure_fleet_bench(
 
     The document also carries the engine's bitwise-identity contract:
     on a small cluster, the event engine's dispatch records and
-    schedule fingerprints must equal the pre-existing
-    :class:`~repro.cluster.scheduler.ClusterScheduler` loop's, window
-    for window. Makes no threshold assertion itself — the perf suite
+    schedule fingerprints must equal
+    :func:`~repro.cluster.reference.reference_dispatch`'s, window for
+    window. Makes no threshold assertion itself — the perf suite
     asserts the 1M-completions/min floor and the gate's tolerance band
     does the ratcheting.
     """
@@ -541,15 +574,12 @@ def measure_fleet_bench(
         FcfsPolicy,
         PolicySelector,
     )
-    from repro.cluster.scheduler import ClusterScheduler
     from repro.core.actions import ActionCatalog
     from repro.core.evaluation import profile_all_benchmarks
     from repro.core.optimizer import OnlineOptimizer
-    from repro.core.serving import DecisionCache, schedule_fingerprint
+    from repro.core.serving import DecisionCache
     from repro.core.trainer import OfflineTrainer
     from repro.workloads.arrivals import PoissonArrivals
-    from repro.workloads.generator import MixCategory, QueueGenerator
-    from repro.workloads.jobs import Job, JobQueue
     from repro.workloads.suite import TRAINING_SET
 
     if min(n_nodes, n_jobs, warmup_jobs, pool_size, episodes) <= 0:
@@ -607,51 +637,7 @@ def measure_fleet_bench(
     fleet_result, wall = drain(n_jobs, arrival_seed=seed + 2)
     wall = max(wall, 1e-12)
 
-    # small-cluster identity: the event engine vs the old dispatch loop
-    class _RecordingSelector:
-        def __init__(self, inner: PolicySelector):
-            self.inner = inner
-            self.fcfs = inner.fcfs
-            self.co_scheduling = inner.co_scheduling
-            self.schedules: list = []
-
-        def select(self, queue_depth: int, free_gpus: int):
-            return self.inner.select(queue_depth, free_gpus)
-
-        def schedule_batch(self, cuts):
-            out = self.inner.schedule_batch(cuts)
-            self.schedules.extend(s for s, _ in out)
-            return out
-
-    gen = QueueGenerator(seed=seed + 3, training_only=True)
-    names: list[str] = []
-    for _ in range(8):
-        names.extend(
-            gen.queue(MixCategory.BALANCED, w=trainer.window_size)
-            .benchmark_names
-        )
-    jobs = [Job.submit(name) for name in names]
-    recording = _RecordingSelector(make_selector())
-    oracle = ClusterScheduler(
-        cluster=ClusterState.homogeneous(3),
-        selector=recording,  # type: ignore[arg-type]
-        window_size=trainer.window_size,
-    )
-    oracle_records = oracle.run(JobQueue(jobs=list(jobs)))
-    engine = FleetEngine(
-        ClusterState.homogeneous(3),
-        make_selector(),
-        window_size=trainer.window_size,
-        keep_history=True,
-    )
-    for job in jobs:
-        engine.submit(job, at=0.0)
-    engine_result = engine.run()
-    identical = (
-        oracle_records == engine_result.history
-        and [schedule_fingerprint(s) for s in recording.schedules]
-        == [schedule_fingerprint(s) for s in engine_result.schedules]
-    )
+    identical = _matches_reference(make_selector, trainer.window_size, seed + 3)
 
     return {
         "fleet": {
@@ -952,16 +938,13 @@ def measure_hierarchy_bench(
 
     The document also carries the flag-off identity contract: a
     placement-free engine over the same trained node level must stay
-    bitwise-identical to the :class:`ClusterScheduler` oracle (dispatch
+    bitwise-identical to
+    :func:`~repro.cluster.reference.reference_dispatch` (dispatch
     records and schedule fingerprints), proving the hierarchical wiring
     is a no-op when off. Makes no threshold assertion itself — the perf
     suite asserts the beats-baseline floor and the gate's tolerance
     band does the ratcheting.
     """
-    from repro.cluster.fleet import FleetEngine
-    from repro.cluster.node import ClusterState
-    from repro.cluster.scheduler import ClusterScheduler
-    from repro.core.serving import schedule_fingerprint
     from repro.hierarchy import (
         JointTrainer,
         LeastLoadedPlacement,
@@ -971,8 +954,6 @@ def measure_hierarchy_bench(
     )
     from repro.power.model import PowerModel
     from repro.workloads.arrivals import PoissonArrivals
-    from repro.workloads.generator import MixCategory, QueueGenerator
-    from repro.workloads.jobs import Job, JobQueue
 
     if min(n_nodes, eval_jobs, node_episodes, placement_episodes) <= 0:
         raise ReproError("hierarchy bench sizes must be positive")
@@ -1053,7 +1034,7 @@ def measure_hierarchy_bench(
     best = baselines[best_name]
 
     # flag-off identity: a placement-free engine over the same trained
-    # node level vs the ClusterScheduler oracle, bitwise
+    # node level vs the reference dispatch loop, bitwise
     def make_selector():
         from repro.cluster.policy import (
             CoSchedulingPolicy,
@@ -1077,49 +1058,8 @@ def measure_hierarchy_bench(
             crowding_threshold=1,
         )
 
-    class _RecordingSelector:
-        def __init__(self, inner):
-            self.inner = inner
-            self.fcfs = inner.fcfs
-            self.co_scheduling = inner.co_scheduling
-            self.schedules: list = []
-
-        def select(self, queue_depth: int, free_gpus: int):
-            return self.inner.select(queue_depth, free_gpus)
-
-        def schedule_batch(self, cuts):
-            out = self.inner.schedule_batch(cuts)
-            self.schedules.extend(s for s, _ in out)
-            return out
-
-    gen = QueueGenerator(seed=seed + 3, training_only=True)
-    names: list[str] = []
-    for _ in range(8):
-        names.extend(
-            gen.queue(MixCategory.BALANCED, w=trainer.window_size)
-            .benchmark_names
-        )
-    jobs = [Job.submit(name) for name in names]
-    recording = _RecordingSelector(make_selector())
-    oracle = ClusterScheduler(
-        cluster=ClusterState.homogeneous(3),
-        selector=recording,  # type: ignore[arg-type]
-        window_size=trainer.window_size,
-    )
-    oracle_records = oracle.run(JobQueue(jobs=list(jobs)))
-    engine = FleetEngine(
-        ClusterState.homogeneous(3),
-        make_selector(),
-        window_size=trainer.window_size,
-        keep_history=True,
-    )
-    for job in jobs:
-        engine.submit(job, at=0.0)
-    engine_result = engine.run()
-    off_flag_identical = (
-        oracle_records == engine_result.history
-        and [schedule_fingerprint(s) for s in recording.schedules]
-        == [schedule_fingerprint(s) for s in engine_result.schedules]
+    off_flag_identical = _matches_reference(
+        make_selector, trainer.window_size, seed + 3
     )
 
     return {

@@ -14,8 +14,9 @@ that chain:
   come from a seeded monotonic counter; every span names its parent,
   and the tree is serialized to a JSONL lifecycle log (sorted keys)
   the moment the job reaches a terminal state (completed / failed /
-  rejected) and evicted from memory — **constant memory**: only
-  in-flight jobs are resident, regardless of arrival count.
+  cancelled / rejected) and evicted from memory — **constant
+  memory**: only in-flight jobs are resident, regardless of arrival
+  count.
 * :func:`lifecycle_chrome_trace` — converts lifecycle records into the
   same Chrome ``trace_event`` JSON the PR 3 exporter emits, one thread
   per node plus a ``jobs`` overview track, so Perfetto renders the
@@ -24,8 +25,8 @@ that chain:
 Record schema (one JSON object per terminal job)::
 
     {"trace_id": ..., "job_id": ..., "benchmark": ..., "outcome":
-     "completed" | "failed" | "rejected", "submit": t, "end": t,
-     "wait": s, "attempts": n, "spans": [{"span_id", "parent_id",
+     "completed" | "failed" | "cancelled" | "rejected", "submit": t,
+     "end": t, "wait": s, "attempts": n, "spans": [{"span_id", "parent_id",
      "name", "start", "end", "args"}...], "events": [{"name", "ts",
      "span_id", "args"}...]}
 
@@ -46,6 +47,7 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "TraceContext",
+    "LifecycleHooks",
     "LifecycleTracer",
     "trace_id_for",
     "read_lifecycle_jsonl",
@@ -81,7 +83,33 @@ class TraceContext:
         )
 
 
-class LifecycleTracer:
+class LifecycleHooks:
+    """The per-job hooks :class:`~repro.cluster.fleet.FleetEngine` calls
+    on its ``lifecycle=`` observer, in lifecycle order. Each is a no-op
+    here; an observer overrides the ones it needs."""
+
+    def arrival(self, job, t: float, admitted: bool) -> None: ...
+
+    def placed(
+        self, job, t: float, node_index: int, node_name: str, info: dict | None = None
+    ) -> None: ...
+
+    def attempt(
+        self, job, start: float, finish: float, node_name: str, policy: str,
+        fell_back: bool, crashed: bool, window_size: int, window_seen: bool,
+        cache_hits: int | None = None,
+    ) -> None: ...
+
+    def requeued(self, job, t: float) -> None: ...
+
+    def completed(self, job, t: float, wait: float) -> None: ...
+
+    def failed(self, job, t: float) -> None: ...
+
+    def cancelled(self, job, t: float) -> None: ...
+
+
+class LifecycleTracer(LifecycleHooks):
     """One causally-linked span tree per job, streamed to JSONL.
 
     Hooks are called by :class:`~repro.cluster.fleet.FleetEngine` when a
@@ -228,6 +256,12 @@ class LifecycleTracer:
         if record is None:  # pragma: no cover - defensive
             return
         self._finalize(record, "failed", t)
+
+    def cancelled(self, job, t: float) -> None:
+        record = self._open.get(job.job_id)
+        if record is None:  # pragma: no cover - defensive
+            return
+        self._finalize(record, "cancelled", t)
 
     # ------------------------------------------------------------------
     def _finalize(self, record: dict, outcome: str, end: float) -> None:

@@ -33,16 +33,13 @@ __all__ = ["METRIC_HELP", "Telemetry", "NullTelemetry", "NULL_TELEMETRY"]
 #: canonical help text for the metrics the built-in hooks emit
 METRIC_HELP = {
     "windows_dispatched_total": "scheduling windows dispatched to a GPU",
-    "window_gain": "per-window throughput gain over time sharing",
-    "window_seconds": "simulated execution time of one dispatched window",
     "policy_fallbacks_total": "windows where the policy raised and FCFS took over",
     "dispatch_retries_total": "device-level retries spent on transient/reconfig faults",
     "degraded_groups_total": "groups that exhausted retries and ran solo",
-    "jobs_submitted_total": "jobs submitted via sbatch",
     "jobs_completed_total": "jobs that reached the COMPLETED state",
     "jobs_failed_total": "jobs that spent their retry budget (terminal FAILED)",
     "job_requeues_total": "crashed jobs pushed back onto the pending queue",
-    "queue_depth": "pending jobs at the latest dispatch decision",
+    "queue_depth": "pending jobs at the latest metrics sync",
     "device_groups_total": "co-scheduled groups executed on a device",
     "device_busy_seconds_total": "simulated seconds a device spent executing",
     "device_reconfigs_total": "successful partition (re)configurations",
@@ -54,7 +51,6 @@ METRIC_HELP = {
     "corun_cache_hit_rate": "CoRunCache hit rate over the training run",
     "decision_cache_hit_rate": "step-decision memo hit rate over the training run",
     "optimizer_decision_seconds": "online decision latency per window (injected clock)",
-    "queue_wait_seconds": "per-job queue wait at dispatch (start minus submit)",
     "train_q_max": "max online-network Q at each episode's final observation",
     "alerts_raised_total": "alerts raised by the insight detectors, by kind",
     "fleet_rejected_total": "arrivals shed by admission control",

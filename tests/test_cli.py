@@ -77,3 +77,31 @@ class TestCommands:
         assert main(["schedule", "Q1", "--method", "mig"]) == 0
         out = capsys.readouterr().out
         assert "throughput x" in out
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "Q1", "--gpus", "0"],
+            ["trace", "Q1", "--window", "0"],
+            ["alerts", "Q1", "--repeat", "0"],
+            ["cluster", "Q1", "--episodes", "0"],
+            ["cluster", "Q1", "--max-retries", "-1"],
+            ["cluster", "Q1", "--gpus", "two"],
+        ],
+    )
+    def test_bad_counts_rejected_before_training(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "training" not in captured.out
+        assert f"argument {argv[2]}:" in captured.err
+
+    def test_domain_error_is_one_line_with_exit_2(self, capsys):
+        assert main(["cluster", "Q1", "--c-max", "0", "--episodes", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-gpu cluster: error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err

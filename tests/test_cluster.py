@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SchedulingError
 from repro.cluster.node import ClusterState
 from repro.cluster.policy import CoSchedulingPolicy, FcfsPolicy, PolicySelector
-from repro.cluster.scheduler import ClusterScheduler
+from repro.cluster.fleet import FleetEngine
 from repro.core.actions import ActionCatalog
 from repro.core.optimizer import OnlineOptimizer
 from repro.workloads.generator import MixCategory, QueueGenerator
@@ -33,6 +33,13 @@ def backlog(n_windows: int, w: int, seed: int = 5) -> JobQueue:
     for i in range(n_windows):
         names.extend(gen.queue(MixCategory.BALANCED, w=w).benchmark_names)
     return JobQueue.from_benchmarks(names)
+
+
+def dispatch(cluster, selector, w, queue):
+    """Drain ``queue`` through the fleet engine, keeping the dispatch log."""
+    engine = FleetEngine(cluster, selector, window_size=w, keep_history=True)
+    engine.submit_queue(queue)
+    return engine.run()
 
 
 class TestClusterState:
@@ -91,6 +98,8 @@ class TestPolicies:
 
 
 class TestClusterScheduler:
+    """The two-level dispatch loop (now :class:`FleetEngine`)."""
+
     def test_drains_queue_and_balances(self, small_optimizer, tiny_training):
         trainer, _ = tiny_training
         w = trainer.window_size
@@ -100,15 +109,15 @@ class TestClusterScheduler:
             crowding_threshold=1,  # always co-schedule
         )
         cluster = ClusterState.homogeneous(2)
-        sched = ClusterScheduler(cluster=cluster, selector=sel, window_size=w)
-        records = sched.run(backlog(4, w))
+        result = dispatch(cluster, sel, w, backlog(4, w))
+        records = result.history
         assert len(records) == 4
         nodes_used = {r.node_name for r in records}
         assert len(nodes_used) == 2  # both GPUs got work
-        summary = sched.summary()
-        assert summary["windows_dispatched"] == 4
-        assert summary["makespan"] == pytest.approx(cluster.makespan)
-        assert summary["mean_window_gain"] >= 1.0 - 1e-9
+        assert result.stats.windows == 4
+        assert result.makespan == pytest.approx(cluster.makespan)
+        mean_gain = sum(r.throughput_gain for r in records) / len(records)
+        assert mean_gain >= 1.0 - 1e-9
 
     def test_partial_final_window(self, small_optimizer, tiny_training):
         trainer, _ = tiny_training
@@ -118,22 +127,11 @@ class TestClusterScheduler:
             fcfs=FcfsPolicy(),
         )
         cluster = ClusterState.homogeneous(1)
-        sched = ClusterScheduler(cluster=cluster, selector=sel, window_size=w)
         q = backlog(1, w)
         q.push(q.jobs[0])  # w + 1 jobs -> second window of size 1
-        records = sched.run(JobQueue(jobs=list(q.jobs)))
+        records = dispatch(cluster, sel, w, JobQueue(jobs=list(q.jobs))).history
         assert records[-1].window_size in (1, w)
         assert sum(r.window_size for r in records) == w + 1
-
-    def test_summary_requires_history(self, small_optimizer):
-        sel = PolicySelector(
-            co_scheduling=CoSchedulingPolicy(small_optimizer), fcfs=FcfsPolicy()
-        )
-        sched = ClusterScheduler(
-            cluster=ClusterState.homogeneous(1), selector=sel
-        )
-        with pytest.raises(SchedulingError):
-            sched.summary()
 
     def test_fcfs_vs_coscheduling_makespan(self, small_optimizer, tiny_training):
         trainer, _ = tiny_training
@@ -148,12 +146,6 @@ class TestClusterScheduler:
             fcfs=FcfsPolicy(),
             crowding_threshold=10**9,
         )
-        co = ClusterScheduler(
-            cluster=ClusterState.homogeneous(2), selector=co_sel, window_size=w
-        )
-        fc = ClusterScheduler(
-            cluster=ClusterState.homogeneous(2), selector=fc_sel, window_size=w
-        )
-        co.run(backlog(4, w, seed=9))
-        fc.run(backlog(4, w, seed=9))
+        co = dispatch(ClusterState.homogeneous(2), co_sel, w, backlog(4, w, seed=9))
+        fc = dispatch(ClusterState.homogeneous(2), fc_sel, w, backlog(4, w, seed=9))
         assert co.makespan <= fc.makespan + 1e-9

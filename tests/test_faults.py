@@ -17,8 +17,8 @@ from repro.errors import (
 from repro.faults import FaultConfig, FaultInjector, FaultKind, RetryPolicy
 from repro.cluster import (
     BatchSystem,
-    ClusterScheduler,
     ClusterState,
+    FleetEngine,
     FcfsPolicy,
     JobState,
     PolicySelector,
@@ -280,6 +280,12 @@ class TestFaultTolerantDrain:
         bs = make_batch(faults=inj, max_retries=2)
         for p in PROGRAMS[:3]:
             bs.sbatch(p)
+        bs.tick(bs.now)  # dispatch: each job runs until it crashes
+        records = bs.squeue()
+        assert all(r.state is JobState.RUNNING for r in records)
+        assert all(r.retries == 0 for r in records)
+        bs.tick(min(r.end_time for r in records))  # only the first crash
+        assert sum(r.retries for r in bs.squeue()) == 1
         bs.drain()  # must terminate despite 100% crash rate
         records = bs.squeue()
         assert all(r.state is JobState.FAILED for r in records)
@@ -314,44 +320,48 @@ class TestFaultTolerantDrain:
 
 
 class TestClusterSchedulerFaults:
+    """Failure handling of the two-level dispatch loop (now
+    :class:`FleetEngine`)."""
+
     def run_queue(self, **kwargs):
-        sched = ClusterScheduler(
-            cluster=ClusterState.homogeneous(2),
-            selector=fcfs_selector(**{
+        engine = FleetEngine(
+            ClusterState.homogeneous(2),
+            fcfs_selector(**{
                 k: kwargs.pop(k) for k in ("co_scheduling", "crowding")
                 if k in kwargs
             }),
             window_size=4,
+            keep_history=True,
             **kwargs,
         )
-        records = sched.run(JobQueue.from_benchmarks(list(PROGRAMS)))
-        return sched, records
+        engine.submit_queue(JobQueue.from_benchmarks(list(PROGRAMS)))
+        result = engine.run()
+        return result.stats, result.history
 
     def test_fallback_recorded(self):
-        sched, records = self.run_queue(co_scheduling=RaisingPolicy(), crowding=1)
+        stats, records = self.run_queue(co_scheduling=RaisingPolicy(), crowding=1)
         assert all(r.fell_back for r in records)
         assert all(r.policy_name == "FCFS" for r in records)
-        assert sched.summary()["windows_fell_back"] == len(records)
+        assert stats.fallback_windows == len(records)
 
     def test_failed_jobs_requeue_then_surface(self):
         inj = FaultInjector(FaultConfig(job_failure_rate=1.0, seed=1))
-        sched, records = self.run_queue(faults=inj, max_retries=1)
-        # every job crashed on every attempt: all end in failed_jobs
-        assert len(sched.failed_jobs) == len(PROGRAMS)
-        assert sched.summary()["jobs_failed"] == len(PROGRAMS)
+        stats, records = self.run_queue(faults=inj, max_retries=1)
+        # every job crashed on every attempt: all end failed
+        assert stats.failed == len(PROGRAMS)
+        assert stats.completed == 0
         # each job got exactly 1 + max_retries attempts
         total_attempts = sum(r.window_size for r in records)
         assert total_attempts == len(PROGRAMS) * 2
 
     def test_no_faults_records_are_clean(self):
-        sched, records = self.run_queue()
+        stats, records = self.run_queue()
         assert all(
             r.retries == 0 and not r.fell_back and r.n_failed == 0
             for r in records
         )
-        s = sched.summary()
-        assert s["dispatch_retries"] == 0
-        assert s["jobs_failed"] == 0
+        assert stats.dispatch_retries == 0
+        assert stats.failed == 0
 
 
 class TestCheckpointHardening:

@@ -6,16 +6,17 @@ Three layers of coverage:
   and the seeded arrival processes;
 * behavior — dispatch/outage/checkpoint semantics of
   :class:`FleetEngine` on cheap FCFS-only selectors (no training);
-* identity — on small clusters the engine's dispatch records and
-  schedule fingerprints must be *bitwise* equal to the pre-existing
-  :class:`ClusterScheduler` / :class:`BatchSystem` loops (the
-  correctness oracle for the rebased time arithmetic), and the fast
-  schedule replay must match the exact fault-tolerant executor float
-  for float.
+* identity — on small fault-free clusters the engine's dispatch
+  records and schedule fingerprints, and the :class:`BatchSystem`
+  facade's drain, must be *bitwise* equal to
+  :func:`reference_dispatch` (the correctness oracle for the rebased
+  time arithmetic), and the fast schedule replay must match the exact
+  fault-tolerant executor float for float.
 
-The accounting property tests run the same invariant — every submitted
-job ends in a terminal state — under heavy fault injection at both
-``t = 0`` and a large clock offset where absolute-epsilon time
+The accounting property tests run the same invariants — every submitted
+job ends in a terminal state, busy time fits in makespan x nodes, and
+each node's windows start in order — under heavy fault injection at
+both ``t = 0`` and a large clock offset where absolute-epsilon time
 arithmetic breaks down (the bugs the ``repro.clock`` helpers fix).
 """
 
@@ -39,7 +40,7 @@ from repro.cluster.fleet import (
 )
 from repro.cluster.node import ClusterState
 from repro.cluster.policy import CoSchedulingPolicy, FcfsPolicy, PolicySelector
-from repro.cluster.scheduler import ClusterScheduler
+from repro.cluster.reference import reference_dispatch
 from repro.core.actions import ActionCatalog
 from repro.core.optimizer import OnlineOptimizer
 from repro.core.serving import DecisionCache, schedule_fingerprint
@@ -113,22 +114,15 @@ def backlog_names(n_windows: int, w: int = 6, seed: int = 5) -> list[str]:
     return names
 
 
-class _RecordingSelector:
-    """Wraps a selector, logging every schedule the rounds produce."""
-
-    def __init__(self, inner: PolicySelector):
-        self.inner = inner
-        self.fcfs = inner.fcfs
-        self.co_scheduling = inner.co_scheduling
-        self.schedules: list = []
-
-    def select(self, queue_depth: int, free_gpus: int):
-        return self.inner.select(queue_depth, free_gpus)
-
-    def schedule_batch(self, cuts):
-        out = self.inner.schedule_batch(cuts)
-        self.schedules.extend(s for s, _ in out)
-        return out
+def assert_busy_fits_and_starts_ordered(cluster, history) -> None:
+    """Busy time <= makespan x nodes, and no node's windows go back in
+    time."""
+    busy = sum(node.busy_time for node in cluster.nodes)
+    assert time_le(busy, cluster.makespan * len(cluster.nodes))
+    last_start: dict[str, float] = {}
+    for record in history:
+        assert time_le(last_start.get(record.node_name, 0.0), record.start_time)
+        last_start[record.node_name] = record.start_time
 
 
 # ----------------------------------------------------------------------
@@ -528,15 +522,26 @@ class TestAccountingInvariants:
         )
         if offset:
             system.tick(offset)
+        # a lone job is held inside the engine by min_batch: cancel it
+        held = system.sbatch(POOL[0])
+        assert system.tick(system.now) == 0
+        system.scancel(held)
         ids = [system.sbatch(name) for name in POOL * 3]
-        system.scancel(ids[0])
+        system.scancel(ids[0])  # still a submission in the event heap
         system.drain()
         states = {r.state for r in system.squeue()}
         assert states <= {
             JobState.COMPLETED, JobState.FAILED, JobState.CANCELLED,
         }
         acct = system.sacct()
-        assert acct["completed"] + acct["failed"] + acct["cancelled"] == 12
+        assert acct["cancelled"] == 2
+        assert acct["completed"] + acct["failed"] + acct["cancelled"] == 13
+        # the engine counts the held job; the other was never admitted
+        stats = system.engine.stats
+        assert stats.cancelled == 1
+        assert stats.admitted == stats.completed + stats.failed + stats.cancelled
+        assert (stats.completed, stats.failed) == (acct["completed"], acct["failed"])
+        assert_busy_fits_and_starts_ordered(system.cluster, system.history)
 
     @settings(max_examples=12, deadline=None)
     @given(config=fault_configs(), offset=st.sampled_from([0.0, LARGE_OFFSET]))
@@ -545,74 +550,80 @@ class TestAccountingInvariants:
         engine = FleetEngine(
             ClusterState.homogeneous(2), fcfs_selector(),
             window_size=3, faults=FaultInjector(config), max_retries=2,
-            start=offset,
+            start=offset, keep_history=True,
         )
         for name in POOL * 3:
             engine.submit(Job.submit(name), at=offset)
-        stats = engine.run().stats
+        result = engine.run()
+        stats = result.stats
         assert stats.completed + stats.failed == 12
+        assert stats.cancelled == 0
         assert engine.pending_depth == 0
         assert len(engine.events) == 0
+        assert_busy_fits_and_starts_ordered(engine.cluster, result.history)
 
 
 # ----------------------------------------------------------------------
-# bitwise identity with the pre-existing dispatch loops
+# bitwise identity with the reference dispatch loop
 # ----------------------------------------------------------------------
+def reference_run(selector, jobs, offset):
+    """``reference_dispatch`` over 3 GPUs whose clocks start at ``offset``."""
+    cluster = ClusterState.homogeneous(3)
+    for node in cluster.nodes:
+        node.device.clock = offset
+    records, schedules = reference_dispatch(cluster, selector, 6, jobs)
+    return records, schedules, cluster.makespan
+
+
 class TestDispatchIdentity:
+    """Fault-free identity with :func:`reference_dispatch` (the test
+    names keep the loops the reference was transcribed from)."""
+
     @pytest.mark.parametrize("crowding_threshold", [1, 4])
     def test_matches_cluster_scheduler(
         self, selector_factory, crowding_threshold
     ):
-        names = backlog_names(8)
-        jobs = [Job.submit(name) for name in names]
+        jobs = [Job.submit(name) for name in backlog_names(8)]
+        for offset in (0.0, LARGE_OFFSET):
+            records, schedules, makespan = reference_run(
+                selector_factory(crowding_threshold), jobs, offset
+            )
+            engine = FleetEngine(
+                ClusterState.homogeneous(3),
+                selector_factory(crowding_threshold),
+                window_size=6, start=offset, keep_history=True,
+            )
+            for job in jobs:
+                engine.submit(job, at=offset)
+            result = engine.run()
 
-        recording = _RecordingSelector(selector_factory(crowding_threshold))
-        oracle = ClusterScheduler(
-            cluster=ClusterState.homogeneous(3),
-            selector=recording,  # type: ignore[arg-type]
-            window_size=6,
-        )
-        oracle_records = oracle.run(JobQueue(jobs=list(jobs)))
-
-        engine = FleetEngine(
-            ClusterState.homogeneous(3),
-            selector_factory(crowding_threshold),
-            window_size=6, keep_history=True,
-        )
-        for job in jobs:
-            engine.submit(job, at=0.0)
-        result = engine.run()
-
-        assert result.history == oracle_records  # float-for-float
-        assert [schedule_fingerprint(s) for s in result.schedules] == [
-            schedule_fingerprint(s) for s in recording.schedules
-        ]
-        assert result.makespan == oracle.makespan
+            assert result.history == records  # float-for-float
+            assert [schedule_fingerprint(s) for s in result.schedules] == [
+                schedule_fingerprint(s) for s in schedules
+            ]
+            assert result.makespan == makespan
 
     @pytest.mark.parametrize("offset", [0.0, LARGE_OFFSET])
     def test_matches_batch_system_drain(self, selector_factory, offset):
         names = backlog_names(8)
+        for crowding_threshold in (1, 4):
+            system = BatchSystem(
+                ClusterState.homogeneous(3), selector_factory(crowding_threshold),
+                window_size=6, min_batch=2,
+            )
+            if offset:
+                system.tick(offset)
+            for name in names:
+                system.sbatch(name)
+            system.drain()
 
-        system = BatchSystem(
-            ClusterState.homogeneous(3), selector_factory(1),
-            window_size=6, min_batch=2,
-        )
-        if offset:
-            system.tick(offset)
-        for name in names:
-            system.sbatch(name)
-        system.drain()
-
-        engine = FleetEngine(
-            ClusterState.homogeneous(3), selector_factory(1),
-            window_size=6, min_batch=2, start=offset, keep_history=True,
-        )
-        for name in names:
-            engine.submit(Job.submit(name), at=offset)
-        result = engine.run()
-
-        assert result.history == system.history  # float-for-float
-        assert result.stats.completed == len(names)
+            jobs = [r.job for r in system.squeue()]
+            records, _, makespan = reference_run(
+                selector_factory(crowding_threshold), jobs, offset
+            )
+            assert system.history == records  # float-for-float
+            assert system.cluster.makespan == makespan
+            assert system.sacct()["completed"] == len(names)
 
     def test_faulty_runs_stay_identical_across_executors(
         self, selector_factory

@@ -10,7 +10,7 @@ Coverage layers:
 * determinism — same seed implies a byte-identical placement trace,
   the PR's headline reproducibility contract;
 * neutrality — with placement off, the fleet dispatch path stays
-  bitwise-identical to the :class:`ClusterScheduler` oracle, and
+  bitwise-identical to the ``reference_dispatch`` oracle, and
   attaching a :class:`PowerModel` changes accounting only, never a
   schedule float;
 * integration — a tiny :class:`JointTrainer` run end to end, with the
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro.cluster.fleet import FleetEngine
 from repro.cluster.node import ClusterState
 from repro.cluster.policy import CoSchedulingPolicy, FcfsPolicy, PolicySelector
-from repro.cluster.scheduler import ClusterScheduler
+from repro.cluster.reference import reference_dispatch
 from repro.core.actions import ActionCatalog
 from repro.core.optimizer import OnlineOptimizer
 from repro.core.serving import DecisionCache, schedule_fingerprint
@@ -461,34 +461,12 @@ class TestDeterminism:
 # ----------------------------------------------------------------------
 # neutrality: flag-off dispatch and accounting-only energy
 # ----------------------------------------------------------------------
-class _RecordingSelector:
-    def __init__(self, inner: PolicySelector):
-        self.inner = inner
-        self.fcfs = inner.fcfs
-        self.co_scheduling = inner.co_scheduling
-        self.schedules: list = []
-
-    def select(self, queue_depth: int, free_gpus: int):
-        return self.inner.select(queue_depth, free_gpus)
-
-    def schedule_batch(self, cuts):
-        out = self.inner.schedule_batch(cuts)
-        self.schedules.extend(s for s, _ in out)
-        return out
-
-
 class TestNeutrality:
     def test_flag_off_is_bitwise_identical_to_oracle(self, selector_factory):
-        from repro.workloads.jobs import JobQueue
-
         jobs = [Job.submit(name) for name in backlog_names(4)]
-        recording = _RecordingSelector(selector_factory())
-        oracle = ClusterScheduler(
-            cluster=ClusterState.homogeneous(2),
-            selector=recording,  # type: ignore[arg-type]
-            window_size=6,
+        oracle_records, oracle_schedules = reference_dispatch(
+            ClusterState.homogeneous(2), selector_factory(), 6, jobs
         )
-        oracle_records = oracle.run(JobQueue(jobs=list(jobs)))
 
         engine = FleetEngine(
             ClusterState.homogeneous(2),
@@ -504,7 +482,7 @@ class TestNeutrality:
         assert engine._node_pending is None
         assert result.placements == []
         assert oracle_records == result.history
-        assert [schedule_fingerprint(s) for s in recording.schedules] == [
+        assert [schedule_fingerprint(s) for s in oracle_schedules] == [
             schedule_fingerprint(s) for s in result.schedules
         ]
 

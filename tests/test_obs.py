@@ -311,6 +311,24 @@ class TestLifecycleTracer:
             events = {e["name"] for e in record["events"]}
             assert events == {"arrival"}
 
+    def test_cancelled_jobs_are_traced(self):
+        tracer = LifecycleTracer(seed=0)
+        engine = FleetEngine(
+            ClusterState.homogeneous(1), fcfs_selector(), min_batch=2,
+            lifecycle=tracer,
+        )
+        job = Job.submit(POOL[0])
+        engine.submit(job)
+        engine.advance_to(1.0)  # a lone job: min_batch holds it
+        engine.cancel(job.job_id)
+        stats = engine.stats
+        assert (stats.admitted, stats.cancelled) == (1, 1)
+        assert tracer.open_jobs == 0
+        assert tracer.outcomes["cancelled"] == 1
+        (record,) = tracer.records
+        _validate_record(record)
+        assert (record["outcome"], record["end"]) == ("cancelled", 1.0)
+
     def test_lifecycle_jsonl_is_byte_identical_across_reruns(self, tmp_path):
         blobs = []
         for run in range(2):

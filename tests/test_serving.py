@@ -23,7 +23,7 @@ from repro.errors import SchedulingError
 from repro.cluster.batch import BatchSystem, JobState
 from repro.cluster.node import ClusterState
 from repro.cluster.policy import CoSchedulingPolicy, FcfsPolicy, PolicySelector
-from repro.cluster.scheduler import ClusterScheduler
+from repro.cluster.fleet import FleetEngine
 from repro.core.env import CoSchedulingEnv
 from repro.core.optimizer import OnlineOptimizer
 from repro.core.serving import (
@@ -416,22 +416,25 @@ class TestClusterBatchedDispatch:
         trainer, _ = tiny_training
         w = trainer.window_size
         cache = DecisionCache()
-        sched = ClusterScheduler(
-            cluster=ClusterState.homogeneous(3),
-            selector=self._selector(tiny_training, cache),
+        engine = FleetEngine(
+            ClusterState.homogeneous(3),
+            self._selector(tiny_training, cache),
             window_size=w,
+            keep_history=True,
         )
         names = []
         for win in _training_windows(w, 6, seed=23):
             names.extend(j.benchmark_name for j in win)
-        records = sched.run(JobQueue.from_benchmarks(names))
+        engine.submit_queue(JobQueue.from_benchmarks(names))
+        result = engine.run()
+        records = result.history
         assert len(records) == 6
         assert sum(r.window_size for r in records) == 6 * w
         assert {r.node_name for r in records} == {"gpu00", "gpu01", "gpu02"}
         # the first round dispatched one window per free node, through
         # one batched serving pass: the decision cache saw every window
         assert cache.stats.lookups >= 6
-        assert sched.summary()["windows_dispatched"] == 6
+        assert result.stats.windows == 6
 
     def test_batch_system_batched_tick(self, tiny_training):
         trainer, _ = tiny_training

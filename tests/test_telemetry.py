@@ -19,9 +19,9 @@ import pytest
 
 from repro.cluster import (
     BatchSystem,
-    ClusterScheduler,
     ClusterState,
     FcfsPolicy,
+    FleetEngine,
     PolicySelector,
 )
 from repro.errors import ConfigurationError, SchedulingError
@@ -368,21 +368,23 @@ class TestIntegration:
             fcfs=FcfsPolicy(),
             crowding_threshold=10**9,
         )
-        sched = ClusterScheduler(
-            cluster=ClusterState.homogeneous(2),
-            selector=selector,
+        engine = FleetEngine(
+            ClusterState.homogeneous(2),
+            selector,
             window_size=4,
             telemetry=tel,
+            keep_history=True,
         )
-        sched.run(JobQueue.from_benchmarks(PROGRAMS * 2, name="q"))
+        engine.submit_queue(JobQueue.from_benchmarks(PROGRAMS * 2, name="q"))
+        history = engine.run().history
         spans = tel.tracer.spans(name="window")
-        assert len(spans) == len(sched.history)
-        for span, record in zip(spans, sched.history):
+        assert len(spans) == len(history)
+        for span, record in zip(spans, history):
             assert span.track == record.node_name
             assert span.start == record.start_time
             assert span.end == record.end_time
         counter = tel.registry.counter("windows_dispatched_total")
-        assert sum(counter.series().values()) == len(sched.history)
+        assert sum(counter.series().values()) == len(history)
 
     def test_batch_history_mirrors_dispatches(self):
         bs = drain_programs(make_batch())
