@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -980,6 +981,18 @@ def _int_at_least(low: int):
     return count
 
 
+def _float_above(low: float):
+    """An argparse ``type`` for finite floats ``> low``."""
+
+    def number(text: str) -> float:
+        value = float(text)  # argparse reports a ValueError as "invalid number value"
+        if not low < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be > {low}, got {value}")
+        return value
+
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-gpu",
@@ -987,6 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(CLUSTER 2023 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _int_at_least(1)
 
     p = sub.add_parser("profile", help="profile suite programs")
     p.add_argument("programs", nargs="*", help="program names (default: all)")
@@ -1004,10 +1018,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_variants)
 
     p = sub.add_parser("train", help="offline RL training")
-    p.add_argument("--window", type=int, default=12)
+    p.add_argument("--window", type=positive, default=12)
     p.add_argument("--c-max", type=int, default=4)
     p.add_argument("--queues", type=int, default=20)
-    p.add_argument("--episodes", type=int, default=2000)
+    p.add_argument("--episodes", type=positive, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="save the trained agent checkpoint (.npz) here")
     p.add_argument("--telemetry", metavar="DIR",
@@ -1025,9 +1039,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("rl", "oracle", "timeshare", "mig", "mps", "default"),
         default="rl",
     )
-    p.add_argument("--window", type=int, default=12)
+    p.add_argument("--window", type=positive, default=12)
     p.add_argument("--c-max", type=int, default=4)
-    p.add_argument("--episodes", type=int, default=800)
+    p.add_argument("--episodes", type=positive, default=800)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--telemetry", metavar="DIR",
                    help="write trace/metrics/timeline artifacts for the "
@@ -1039,7 +1053,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_cluster_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("queue", nargs="?", default="Q1", help="Q1..Q12")
-        positive = _int_at_least(1)
         p.add_argument("--gpus", type=positive, default=2)
         p.add_argument("--repeat", type=positive, default=1,
                        help="submit the queue this many times")
@@ -1104,11 +1117,11 @@ def build_parser() -> argparse.ArgumentParser:
              "through the event engine, with a choice of placement "
              "policy (two-level agent or classic baselines)",
     )
-    p.add_argument("--nodes", type=int, default=16,
+    p.add_argument("--nodes", type=positive, default=16,
                    help="fleet size in single-GPU nodes")
-    p.add_argument("--jobs", type=int, default=400,
+    p.add_argument("--jobs", type=positive, default=400,
                    help="arrivals to drain")
-    p.add_argument("--rate", type=float, default=8.0,
+    p.add_argument("--rate", type=_float_above(0.0), default=8.0,
                    help="mean arrival rate, jobs per simulated second")
     p.add_argument("--arrivals", choices=("poisson", "diurnal"),
                    default="poisson",
@@ -1135,14 +1148,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default="least-loaded",
                    help="cluster-level routing policy (agent trains the "
                         "placement DQN first)")
-    p.add_argument("--window", type=int, default=6)
+    p.add_argument("--window", type=positive, default=6)
     p.add_argument("--c-max", type=int, default=3)
-    p.add_argument("--episodes", type=int, default=12,
+    p.add_argument("--episodes", type=positive, default=12,
                    help="node-level offline training episodes")
     p.add_argument("--placement-episodes", type=int, default=10,
                    help="placement-level rollout episodes "
                         "(with --placement agent)")
-    p.add_argument("--jobs-per-episode", type=int, default=100,
+    p.add_argument("--jobs-per-episode", type=positive, default=100,
                    help="arrivals per placement training rollout")
     p.add_argument("--crowding", type=int, default=1,
                    help="queue depth per free GPU that triggers "

@@ -15,7 +15,47 @@ from repro.errors import SchedulingError
 from repro.gpu.arch import A100_40GB, GpuSpec
 from repro.gpu.variants import PartitionVariant, action_catalog
 
-__all__ = ["ActionCatalog"]
+__all__ = ["ActionCatalog", "TemplateFacts"]
+
+
+class TemplateFacts:
+    """Static facts about one group template, computed once per catalog.
+
+    Everything here is a pure function of the template's partition tree:
+    its slots, their ``(compute, memory)`` shapes, and the memory
+    domains the conflict-aware objective penalizes (pre-filtered to the
+    multi-slot ones, with their bandwidth fractions).
+    """
+
+    __slots__ = (
+        "variant",
+        "tree",
+        "slots",
+        "shapes",
+        "betas",
+        "domains",
+        "alphas",
+        "all_domains",
+        "all_alphas",
+    )
+
+    def __init__(self, variant: PartitionVariant) -> None:
+        self.variant = variant
+        self.tree = variant.tree
+        self.slots = self.tree.slots()
+        self.shapes = tuple(
+            (s.compute_fraction, s.mem_fraction) for s in self.slots
+        )
+        self.betas = [s.compute_fraction for s in self.slots]
+        all_domains = self.tree.mem_domains()
+        # All domains (with their bandwidth fractions) for the analytic
+        # predictor; only the multi-slot ones for the conflict penalty.
+        self.all_domains = [tuple(d) for d in all_domains]
+        self.all_alphas = [
+            self.slots[d[0]].mem_fraction for d in self.all_domains
+        ]
+        self.domains = [d for d in self.all_domains if len(d) >= 2]
+        self.alphas = [self.slots[d[0]].mem_fraction for d in self.domains]
 
 
 class ActionCatalog:
@@ -28,6 +68,7 @@ class ActionCatalog:
         self.c_max = c_max
         self.variants: list[PartitionVariant] = action_catalog(spec)
         self._mask_cache: dict[int, np.ndarray] = {}
+        self._facts: tuple[TemplateFacts, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.variants)
@@ -42,6 +83,13 @@ class ActionCatalog:
                 f"action {action} out of range [0, {len(self.variants)})"
             )
         return self.variants[action]
+
+    def template_facts(self) -> tuple[TemplateFacts, ...]:
+        """Static facts for every template, in action order — built once
+        per catalog and shared by every environment over it."""
+        if self._facts is None:
+            self._facts = tuple(TemplateFacts(v) for v in self.variants)
+        return self._facts
 
     def concurrency(self, action: int) -> int:
         return self.variant(action).concurrency

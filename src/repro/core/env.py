@@ -30,6 +30,13 @@ corun_cache_disabled`) and serves as the ground truth the fast path is
   ``decision_memo``). It produces bitwise-identical transitions; one
   global switch selects between the two.
 
+:meth:`CoSchedulingEnv.bind` is the one binder every caller uses — the
+online rerank, the power-capped optimizer and :meth:`~CoSchedulingEnv.\
+step` itself. On the fast path it is memoized on the window context,
+keyed by ``(availability, action, binding mode)``, so a template scored
+by the rerank is never bound twice; :meth:`~CoSchedulingEnv.\
+predicted_gain` scores a template from the same tables.
+
 Windows are drained in **serving-canonical order** (sorted by profile
 signature; see :mod:`repro.core.serving`) on both paths, which makes
 every decision a pure function of window *content* — the invariant the
@@ -44,7 +51,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from repro.errors import SchedulingError
-from repro.core.actions import ActionCatalog
+from repro.core.actions import ActionCatalog, TemplateFacts
 from repro.core.assignment import (
     CONFLICT_WEIGHT,
     assign_conflict_aware,
@@ -70,46 +77,6 @@ from repro.workloads.jobs import Job
 __all__ = ["CoSchedulingEnv"]
 
 
-class _ActionInfo:
-    """Static facts about one group template, computed once per env.
-
-    Everything here is a pure function of the template's partition tree:
-    its slots, their ``(compute, memory)`` shapes, and the memory
-    domains the conflict-aware objective penalizes (pre-filtered to the
-    multi-slot ones, with their bandwidth fractions).
-    """
-
-    __slots__ = (
-        "variant",
-        "tree",
-        "slots",
-        "shapes",
-        "betas",
-        "domains",
-        "alphas",
-        "all_domains",
-        "all_alphas",
-    )
-
-    def __init__(self, variant) -> None:
-        self.variant = variant
-        self.tree = variant.tree
-        self.slots = self.tree.slots()
-        self.shapes = tuple(
-            (s.compute_fraction, s.mem_fraction) for s in self.slots
-        )
-        self.betas = [s.compute_fraction for s in self.slots]
-        all_domains = self.tree.mem_domains()
-        # All domains (with their bandwidth fractions) for the analytic
-        # predictor; only the multi-slot ones for the conflict penalty.
-        self.all_domains = [tuple(d) for d in all_domains]
-        self.all_alphas = [
-            self.slots[d[0]].mem_fraction for d in self.all_domains
-        ]
-        self.domains = [d for d in self.all_domains if len(d) >= 2]
-        self.alphas = [self.slots[d[0]].mem_fraction for d in self.domains]
-
-
 class _WindowContext:
     """Per-window precomputation for the fast path.
 
@@ -118,7 +85,10 @@ class _WindowContext:
     lazily-built reward tables: for each distinct slot shape, the
     intermediate reward of every window job, evaluated exactly once.
     The tables' values are the same floats the reference path computes
-    — only the bookkeeping around them is cheaper.
+    — only the bookkeeping around them is cheaper. ``bind_memo`` maps
+    ``(availability, action, binding mode)`` to the slot-ordered window
+    indices the fast binder chose (only the indices, so the memo stays
+    small on long training runs).
     """
 
     __slots__ = (
@@ -131,6 +101,7 @@ class _WindowContext:
         "_rows",
         "_matrices",
         "predict_memo",
+        "bind_memo",
     )
 
     def __init__(
@@ -146,6 +117,7 @@ class _WindowContext:
         self._rows: dict[tuple[float, float], np.ndarray] = {}
         self._matrices: dict[int, tuple[np.ndarray, list[list[float]]]] = {}
         self.predict_memo: dict[tuple, float] = {}
+        self.bind_memo: dict[tuple, tuple[int, ...]] = {}
 
     def predictor_consts(self) -> list[tuple[float, float, float, float]]:
         """Per-job ``(t_comp, t_mem, scalability, demand)`` — the pure
@@ -165,7 +137,7 @@ class _WindowContext:
         return p
 
     def matrix(
-        self, info: _ActionInfo, action: int
+        self, info: TemplateFacts, action: int
     ) -> tuple[np.ndarray, list[list[float]]]:
         """The full-window ``(job, slot)`` reward matrix for a template,
         as an array (for the Hungarian solver) plus its row lists (for
@@ -346,7 +318,7 @@ class CoSchedulingEnv(Env):
         self._canonical: dict[
             int, tuple[list[Job], list[JobProfile], tuple]
         ] = {}
-        self._action_infos: list[_ActionInfo | None] = [None] * catalog.n_actions
+        self._action_infos = catalog.template_facts()
         self._window_idx = -1
         self._fast = False
 
@@ -471,6 +443,57 @@ class CoSchedulingEnv(Env):
         """Which window slots are still schedulable."""
         return tuple(self._available)
 
+    def bind(self, action: int) -> tuple[int, ...]:
+        """Window indices template ``action`` binds, in slot order.
+
+        The still-available jobs are bound to the template's slots
+        exactly as :meth:`step` would bind them. On the fast path the
+        answer comes from the window tables and is memoized on the
+        window context under ``(availability, action, binding mode)``;
+        on the reference path it is :meth:`_bind`. Both return the same
+        tuple.
+        """
+        if self._fast:
+            key = (tuple(self._available), action, self.binding)
+            memo = self._ctx.bind_memo
+            chosen = memo.get(key)
+            if chosen is None:
+                chosen = self._bind_fast(action)
+                memo[key] = chosen
+            return chosen
+        candidates = self._candidates(action)
+        binding = self._bind(
+            self.catalog.variant(action).tree,
+            [self._profiles[i] for i in candidates],
+        )
+        return tuple(candidates[b] for b in binding)
+
+    def predicted_gain(self, action: int) -> float:
+        """Predicted throughput gain of template ``action`` under
+        :meth:`bind`'s binding: the bound jobs' solo-time sum (in slot
+        order) over the analytic predictor's makespan — the same float
+        as :attr:`~repro.core.predictor.PredictedGroup.predicted_gain`.
+        Profile-only, so it is computable before any launch."""
+        chosen = self.bind(action)
+        if not self._fast:
+            return self.predictor.predict_group(
+                [self._profiles[i] for i in chosen],
+                self.catalog.variant(action).tree,
+            ).predicted_gain
+        est = self._predict(self._action_infos[action], action, chosen)
+        return sum(self._profiles[i].solo_time for i in chosen) / est
+
+    def _candidates(self, action: int) -> list[int]:
+        """Available window indices, once ``action`` is known to fit."""
+        need = self.catalog.concurrency(action)  # rejects a bad index
+        candidates = [i for i, a in enumerate(self._available) if a]
+        if need > len(candidates):
+            raise SchedulingError(
+                f"action {action} (C={need}) cannot bind "
+                f"{len(candidates)} remaining jobs"
+            )
+        return candidates
+
     def _bind(self, tree, cand_profiles) -> list[int]:
         """Reference binder: candidate jobs onto the template's slots.
 
@@ -497,15 +520,8 @@ class CoSchedulingEnv(Env):
     # ------------------------------------------------------------------
     # fast-path decision
     # ------------------------------------------------------------------
-    def _action_info(self, action: int) -> _ActionInfo:
-        info = self._action_infos[action]
-        if info is None:
-            info = _ActionInfo(self.catalog.variant(action))
-            self._action_infos[action] = info
-        return info
-
     def _predict(
-        self, info: _ActionInfo, action: int, chosen: list[int]
+        self, info: TemplateFacts, action: int, chosen: tuple[int, ...]
     ) -> float:
         """Memoized analytic-predictor makespan for a concrete binding.
 
@@ -515,7 +531,7 @@ class CoSchedulingEnv(Env):
         identical order, so the makespan is the same float the reference
         path's predictor returns.
         """
-        key = (action, tuple(chosen))
+        key = (action, chosen)
         memo = self._ctx.predict_memo
         est = memo.get(key)
         if est is None:
@@ -544,26 +560,21 @@ class CoSchedulingEnv(Env):
             memo[key] = est
         return est
 
-    def _decide_fast(
-        self, action: int
-    ) -> tuple[tuple[int, ...], tuple[float, ...], ScheduledGroup]:
-        """One step's decision via the precomputed window tables.
+    def _bind_fast(self, action: int) -> tuple[int, ...]:
+        """The reference binder's answer, from the precomputed tables.
 
         Replays the reference computation — optimal binding via the
         Hungarian algorithm on the same reward matrix, the same
         conflict-aware local search, the same predictor arbitration
         (skipped entirely when both binders agree, which cannot change
-        the outcome) — producing the identical (chosen, rewards, group)
-        triple.
+        the outcome) — so the binding is identical.
         """
-        info = self._action_info(action)
+        candidates = self._candidates(action)
+        info = self._action_infos[action]
         ctx = self._ctx
-        candidates = [i for i, a in enumerate(self._available) if a]
         m, m_list = ctx.matrix(info, action)
-        sub = m[candidates, :]
-        rows, cols = linear_sum_assignment(sub, maximize=True)
-        n_slots = len(info.slots)
-        b_opt = [0] * n_slots
+        rows, cols = linear_sum_assignment(m[candidates, :], maximize=True)
+        b_opt = [0] * len(info.slots)
         for j, s in zip(rows, cols):
             b_opt[s] = int(j)
         if self.binding == "optimal":
@@ -582,14 +593,25 @@ class CoSchedulingEnv(Env):
                 binding = b_ca
             else:
                 est_ca = self._predict(
-                    info, action, [candidates[b] for b in b_ca]
+                    info, action, tuple(candidates[b] for b in b_ca)
                 )
                 est_opt = self._predict(
-                    info, action, [candidates[b] for b in b_opt]
+                    info, action, tuple(candidates[b] for b in b_opt)
                 )
                 binding = b_ca if est_ca <= est_opt else b_opt
-        chosen = tuple(candidates[b] for b in binding)
-        r_is = tuple(float(sub[b, s]) for s, b in enumerate(binding))
+        return tuple(candidates[b] for b in binding)
+
+    def _decide_fast(
+        self, action: int
+    ) -> tuple[tuple[int, ...], tuple[float, ...], ScheduledGroup]:
+        """One step's ``(chosen, rewards, group)`` triple from the tables:
+        the memoized :meth:`bind` answer (a template the rerank already
+        scored is not bound again), its reward-table entries, and the
+        co-run of the bound jobs."""
+        chosen = self.bind(action)
+        info = self._action_infos[action]
+        _, m_list = self._ctx.matrix(info, action)
+        r_is = tuple(m_list[i][s] for s, i in enumerate(chosen))
         group = ScheduledGroup.run([self._jobs[i] for i in chosen], info.tree)
         return chosen, r_is, group
 
@@ -636,19 +658,13 @@ class CoSchedulingEnv(Env):
                 )
                 self._decisions.put(memo_key, (chosen, r_is, group))
         else:
-            variant = self.catalog.variant(action)
-            candidates = [i for i, a in enumerate(self._available) if a]
-            cand_profiles = [self._profiles[i] for i in candidates]
-            binding = self._bind(variant.tree, cand_profiles)
-            chosen = [candidates[b] for b in binding]
-            slots = variant.tree.slots()
+            chosen = self.bind(action)
+            tree = self.catalog.variant(action).tree
             r_is = [
                 intermediate_reward(self._profiles[i], slot, self._stats)
-                for i, slot in zip(chosen, slots)
+                for i, slot in zip(chosen, tree.slots())
             ]
-            group = ScheduledGroup.run(
-                [self._jobs[i] for i in chosen], variant.tree
-            )
+            group = ScheduledGroup.run([self._jobs[i] for i in chosen], tree)
         self._schedule.append(group)
         for i in chosen:
             self._available[i] = False

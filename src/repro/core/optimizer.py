@@ -26,6 +26,7 @@ The :class:`OnlineOptimizer` wraps a trained (frozen) agent:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.clock import Clock, perf_clock
 from repro.errors import SchedulingError
 from repro.core.actions import ActionCatalog
 from repro.core.env import CoSchedulingEnv
+from repro.core.predictor import ASSUMED_SENSITIVITY
 from repro.core.problem import Schedule, ScheduledGroup, SchedulingProblem
 from repro.core.rewards import RewardConfig
 from repro.core.serving import (
@@ -58,6 +60,8 @@ _LATENCY_BUCKETS = (
 )
 #: windows per optimize_many() call
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+#: the env binding mode online decisions use (part of the policy digest)
+_BINDING = "auto"
 
 
 @dataclass(frozen=True)
@@ -153,18 +157,44 @@ class OnlineOptimizer:
         self.telemetry = telemetry
         self.recorder = recorder
         # The fleet-level whole-window memo (optimize_many only; the
-        # serial optimize() stays the cache-free reference path). Share
-        # one instance across optimizers only when they serve the same
-        # frozen policy — the key's policy signature catches config
-        # mismatches, but cannot see different agent weights.
+        # serial optimize() stays the cache-free reference path). Its
+        # key carries the policy signature: the config sizes plus a
+        # digest of everything else a decision depends on, so optimizers
+        # serving different policies can share one cache safely.
         self.decision_cache = decision_cache
-        self._policy_sig = (
+        self._policy_sig: tuple = (
             self.window_size,
             self.catalog.c_max,
             self.catalog.n_actions,
             self.rerank_top_k,
+            self._policy_digest(),
         )
         self.agent.freeze()
+
+    def _policy_digest(self) -> str:
+        """BLAKE2 digest of the frozen network's parameters, the reward
+        config, the env binding mode and the predictor sensitivity.
+        Taken once: the agent is frozen for the optimizer's lifetime."""
+        h = hashlib.blake2b(digest_size=16)
+        for value in self.agent.online.state_dict():
+            h.update(repr((value.shape, value.dtype.str)).encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        h.update(
+            repr((self.reward_config, _BINDING, ASSUMED_SENSITIVITY)).encode()
+        )
+        return h.hexdigest()
+
+    def _make_env(self, profiled: list[Job]) -> CoSchedulingEnv:
+        """A one-window environment draining ``profiled``."""
+        return CoSchedulingEnv(
+            windows=[profiled],
+            repository=self.repository,
+            catalog=self.catalog,
+            window_size=self.window_size,
+            reward_config=self.reward_config,
+            shuffle_windows=False,
+            binding=_BINDING,
+        )
 
     # ------------------------------------------------------------------
     def optimize(self, window: list[Job]) -> OnlineDecision:
@@ -193,14 +223,7 @@ class OnlineOptimizer:
         if len(profiled) == 1:
             schedule.append(ScheduledGroup.run_solo(profiled[0]))
         elif profiled:
-            env = CoSchedulingEnv(
-                windows=[profiled],
-                repository=self.repository,
-                catalog=self.catalog,
-                window_size=self.window_size,
-                reward_config=self.reward_config,
-                shuffle_windows=False,
-            )
+            env = self._make_env(profiled)
             if self.recorder is not None:
                 from repro.insight.records import WindowCapture
 
@@ -351,14 +374,7 @@ class OnlineOptimizer:
                     continue
                 leaders[entry.key] = entry
             entry.decision_seconds += self.clock() - t0
-            entry.env = CoSchedulingEnv(
-                windows=[entry.profiled],
-                repository=self.repository,
-                catalog=self.catalog,
-                window_size=self.window_size,
-                reward_config=self.reward_config,
-                shuffle_windows=False,
-            )
+            entry.env = self._make_env(entry.profiled)
             if self.recorder is not None:
                 entry.capture = WindowCapture(
                     self.recorder, "online", self.agent, entry.env
@@ -489,9 +505,13 @@ class OnlineOptimizer:
         forward; the two are bitwise-identical, so so is the choice.
 
         The predictor score is the group's predicted throughput gain
-        under the binding the environment would use — the same
-        profile-only computation the environment performs, so the
-        choice is implementable on a real system before any launch.
+        under the binding the environment would use
+        (:meth:`~repro.core.env.CoSchedulingEnv.predicted_gain`) — a
+        profile-only computation, so the choice is implementable on a
+        real system before any launch. On the fast path it reads the
+        env's window tables, and the binding it scores is memoized, so
+        the :meth:`~repro.core.env.CoSchedulingEnv.step` that follows
+        reuses it.
         """
         q = np.where(mask, q, -np.inf)
         order = np.argsort(q)[::-1]
@@ -500,16 +520,9 @@ class OnlineOptimizer:
             raise SchedulingError("no valid action available")
         if len(top) == 1:
             return top[0]
-        candidates = [i for i, a in enumerate(env._available) if a]
-        cand_profiles = [env._profiles[i] for i in candidates]
         best_action, best_score = top[0], -np.inf
         for action in top:
-            variant = env.catalog.variant(action)
-            binding = env._bind(variant.tree, cand_profiles)
-            predicted = env.predictor.predict_group(
-                [cand_profiles[i] for i in binding], variant.tree
-            )
-            score = predicted.predicted_gain
+            score = env.predicted_gain(action)
             if score > best_score:
                 best_action, best_score = action, score
         return best_action

@@ -3,11 +3,12 @@
 Extends the online optimizer so that every co-scheduling decision
 respects a device power cap: candidate group templates whose *predicted*
 draw (from profile counters — no launch needed) exceeds the cap are
-masked out before the Q-ranking/reranking, so the emitted schedule is
-cap-feasible by construction. When no co-run template fits the cap the
-window degrades gracefully towards solo execution (the minimum-draw
-configuration available without clock throttling, which is out of this
-model's scope).
+masked out before the Q-ranking/reranking, on the serial and the
+batched path alike, so the emitted schedule is cap-feasible by
+construction. When no co-run template fits the cap the window degrades
+gracefully towards solo execution (the minimum-draw configuration
+available without clock throttling, which is out of this model's
+scope).
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ class PowerCappedOptimizer(OnlineOptimizer):
             )
         self.power_cap_watts = power_cap_watts
         self.cap_violation_fallbacks = 0
+        # a capped plan must never be served to (or from) an uncapped
+        # optimizer sharing the decision cache
+        self._policy_sig += (power_cap_watts, self.power_model)
 
     # ------------------------------------------------------------------
     def estimate_group_watts(
@@ -71,27 +75,30 @@ class PowerCappedOptimizer(OnlineOptimizer):
         return min(pm.idle_watts + dynamic, pm.tdp_watts)
 
     # ------------------------------------------------------------------
-    def _select_action(
-        self, env: CoSchedulingEnv, obs: np.ndarray, mask: np.ndarray
+    def _rerank(
+        self, env: CoSchedulingEnv, q: np.ndarray, mask: np.ndarray
     ) -> int:
-        """Q-ranked selection restricted to cap-feasible templates."""
-        candidates = [i for i, a in enumerate(env._available) if a]
-        cand_profiles = [env._profiles[i] for i in candidates]
+        """Q-ranked selection restricted to cap-feasible templates.
 
+        Each valid template is costed under the env's own binding
+        (:meth:`~repro.core.env.CoSchedulingEnv.bind`, memoized on the
+        fast path), so the serial and batched paths apply the same cap.
+        """
+        profiles = env.job_profiles
         watts: dict[int, float] = {}
         feasible = mask.copy()
         for action in np.flatnonzero(mask):
-            variant = env.catalog.variant(int(action))
-            binding = env._bind(variant.tree, cand_profiles)
+            action = int(action)
             w = self.estimate_group_watts(
-                [cand_profiles[i] for i in binding], variant.tree
+                [profiles[i] for i in env.bind(action)],
+                self.catalog.variant(action).tree,
             )
-            watts[int(action)] = w
+            watts[action] = w
             if w > self.power_cap_watts:
                 feasible[action] = False
 
         if feasible.any():
-            return super()._select_action(env, obs, feasible)
+            return super()._rerank(env, q, feasible)
         # no template fits the cap: best effort — the least-drawing one
         self.cap_violation_fallbacks += 1
         return min(watts, key=watts.get)

@@ -89,6 +89,19 @@ class TestInputErrors:
             ["cluster", "Q1", "--episodes", "0"],
             ["cluster", "Q1", "--max-retries", "-1"],
             ["cluster", "Q1", "--gpus", "two"],
+            ["train", "--episodes", "0"],
+            ["train", "--window", "-1"],
+            ["schedule", "Q3", "--episodes", "0"],
+            ["schedule", "Q3", "--window", "0"],
+            ["fleet", "--nodes", "0"],
+            ["fleet", "--jobs", "0"],
+            ["fleet", "--window", "0"],
+            ["fleet", "--episodes", "0"],
+            ["fleet", "--jobs-per-episode", "0"],
+            ["fleet", "--rate", "0"],
+            ["fleet", "--rate", "-2.5"],
+            ["fleet", "--rate", "nan"],
+            ["fleet", "--rate", "fast"],
         ],
     )
     def test_bad_counts_rejected_before_training(self, argv, capsys):
@@ -97,7 +110,9 @@ class TestInputErrors:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "training" not in captured.out
-        assert f"argument {argv[2]}:" in captured.err
+        flag = next(a for a in argv if a.startswith("--"))
+        assert f"argument {flag}:" in captured.err
+        assert captured.err.strip().splitlines()[-1].startswith("repro-gpu ")
 
     def test_domain_error_is_one_line_with_exit_2(self, capsys):
         assert main(["cluster", "Q1", "--c-max", "0", "--episodes", "1"]) == 2
