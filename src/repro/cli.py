@@ -914,7 +914,6 @@ def _cmd_benchgate(args: argparse.Namespace) -> int:
 def _cmd_statcheck(args: argparse.Namespace) -> int:
     from repro.statcheck import (
         StatcheckError,
-        apply_fixes,
         check_paths,
         load_config,
         update_baseline,
@@ -924,27 +923,10 @@ def _cmd_statcheck(args: argparse.Namespace) -> int:
     fmt = "json" if args.json else args.format
     try:
         config = load_config(args.root)
-        if args.clear_cache:
-            cache_path = config.cache_path
-            if cache_path is not None and cache_path.is_file():
-                cache_path.unlink()
-                print(f"removed {cache_path}", file=sys.stderr)
-            return 0
-        if args.fix:
-            changed = apply_fixes(paths=args.paths or None, config=config)
-            for rel, applied in changed:
-                codes = ", ".join(sorted({rule for rule, _ in applied}))
-                print(
-                    f"fixed {rel}: {len(applied)} edit(s) ({codes})",
-                    file=sys.stderr,
-                )
-            if not changed:
-                print("nothing to fix", file=sys.stderr)
         report = check_paths(
             paths=args.paths or None,
             config=config,
             use_baseline=not args.no_baseline,
-            use_cache=not args.no_cache,
         )
         if args.write_baseline:
             path = update_baseline(report, config)
@@ -1276,15 +1258,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="text",
                    help="report format; sarif emits a SARIF 2.1.0 log "
                         "for code-scanning upload (default: text)")
-    p.add_argument("--fix", action="store_true",
-                   help="rewrite mechanically fixable findings in place "
-                        "(DET004 epsilon comparisons, HYG001 mutable "
-                        "defaults) before reporting; idempotent")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and do not write the incremental cache "
-                        "(.statcheck-cache.json)")
-    p.add_argument("--clear-cache", action="store_true",
-                   help="delete the incremental cache and exit")
     p.add_argument("--root", metavar="DIR",
                    help="repo root holding pyproject.toml "
                         "(default: discovered from cwd)")

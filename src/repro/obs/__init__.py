@@ -10,7 +10,7 @@ on the PR 3 telemetry substrate:
   linked span tree, streamed to JSONL in constant memory;
 * :mod:`repro.obs.sketch` — :class:`QuantileSketch`, a mergeable
   DDSketch-style log-bucketed sketch with a documented relative-error
-  bound, replacing reservoir sampling for fleet-scale percentiles;
+  bound, the one quantile estimator behind every percentile;
 * :mod:`repro.obs.rollup` — FleetSnapshot-aligned time-series frames
   (queue depth, utilization, wait percentiles, decisions/sec, energy)
   with byte-stable JSONL round-trip;

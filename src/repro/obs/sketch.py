@@ -1,11 +1,10 @@
 """Deterministic, mergeable quantile sketch (DDSketch-style).
 
-The Algorithm-R reservoirs in :mod:`repro.telemetry.registry` are exact
-only while a series holds fewer samples than the reservoir — at the
-200K-arrival fleet scale a p99 read off 512 retained samples is a
-lottery, and two reservoirs cannot be merged. This module is the
-streaming replacement: a log-bucketed sketch with a *relative-error
-guarantee* that is
+Every quantile in the repo is read off this sketch: each
+:class:`~repro.telemetry.registry.Histogram` series keeps one next to
+its bucket counts, and :class:`~repro.telemetry.registry.SketchMetric`
+is one per label set. It is a log-bucketed sketch with a
+*relative-error guarantee* that is
 
 * **deterministic** — pure bucket arithmetic, no RNG, no wall clock
   (statcheck DET001/DET002 clean by construction);
@@ -29,9 +28,8 @@ values mirror into a second bucket store; values with
 exactly-tracked ``[minimum, maximum]``, and ``q=0`` / ``q=1`` return
 those exact extremes.
 
-The rank convention matches the registry's reservoir quantile: the
-estimate covers the order statistic at index ``floor(q * (count - 1))``
-of the sorted stream.
+The rank convention: the estimate covers the order statistic at index
+``floor(q * (count - 1))`` of the sorted stream, at every stream size.
 """
 
 from __future__ import annotations

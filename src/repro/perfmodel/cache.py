@@ -62,7 +62,7 @@ __all__ = [
 #: training set is ~20 windows x a few hundred distinct (group,
 #: partition) pairs each, far below this; the bound exists so online
 #: workloads with unbounded job diversity cannot grow memory forever.
-DEFAULT_CORUN_CACHE_SIZE = int(os.environ.get("REPRO_CORUN_CACHE_SIZE", 65536))
+DEFAULT_CORUN_CACHE_SIZE = 65536
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ HYG002    no ``print()`` in library code
 
 The per-file rules run in one AST pass; the project rules (DET005,
 ARCH001, OBS002) run over a whole-program import/call graph built
-once per run and cached incrementally (DESIGN.md §16). ``--fix``
-rewrites the mechanical findings in place; ``--format sarif`` emits a
+from scratch on every run (DESIGN.md §16). ``--format sarif`` emits a
 SARIF 2.1.0 log.
 
 Run it as ``repro-gpu statcheck [--json] [PATHS]`` or import
@@ -50,7 +49,6 @@ from repro.statcheck.config import (
 )
 from repro.statcheck.engine import (
     Report,
-    apply_fixes,
     check_paths,
     check_source,
     iter_python_files,
@@ -82,7 +80,6 @@ __all__ = [
     "StatcheckError",
     "all_codes",
     "apply_baseline",
-    "apply_fixes",
     "check_paths",
     "check_source",
     "find_root",

@@ -1,7 +1,7 @@
 """Configuration for statcheck: ``[tool.statcheck]`` in pyproject.toml.
 
 Schema (all keys optional — the rule registry's defaults apply
-otherwise)::
+otherwise; a key outside this schema is an error, not a no-op)::
 
     [tool.statcheck]
     paths = ["src"]                      # what a bare `statcheck` checks
@@ -24,8 +24,6 @@ dependency-free everywhere the repo supports.
 from __future__ import annotations
 
 import fnmatch
-import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,11 +31,6 @@ from typing import Any
 
 from repro.errors import ReproError
 from repro.statcheck.rules import RULES, all_codes
-
-#: bumped whenever the analysis itself changes meaning — folded into
-#: the cache digest so stale caches from older statcheck versions are
-#: discarded wholesale
-ANALYSIS_VERSION = 2
 
 __all__ = [
     "StatcheckError",
@@ -84,8 +77,6 @@ class StatcheckConfig:
     baseline: str | None = "statcheck-baseline.json"
     disable: tuple[str, ...] = ()
     scopes: dict[str, RuleScope] = field(default_factory=dict)
-    #: incremental-cache file (repo-root-relative); None disables it
-    cache: str | None = ".statcheck-cache.json"
     #: root package of the project graph (module names start with it)
     package: str = "repro"
     #: the ARCH001 layer DAG, lowest layer first; each entry is the set
@@ -121,41 +112,6 @@ class StatcheckConfig:
         if not self.baseline:
             return None
         return self.root / self.baseline
-
-    @property
-    def cache_path(self) -> Path | None:
-        if not self.cache:
-            return None
-        return self.root / self.cache
-
-    def digest(self) -> str:
-        """Stable hash of everything that affects analysis results.
-
-        Any change here — enabled rules, scopes, layers, observer
-        config, the analysis version — must invalidate the incremental
-        cache, because cached findings were computed under the old
-        meaning.
-        """
-        doc = {
-            "analysis_version": ANALYSIS_VERSION,
-            "rules": sorted(RULES),
-            "paths": list(self.paths),
-            "exclude": list(self.exclude),
-            "disable": sorted(self.disable),
-            "scopes": {
-                code: {
-                    "only": list(self.scope(code).only),
-                    "allow": list(self.scope(code).allow),
-                }
-                for code in sorted(RULES)
-            },
-            "package": self.package,
-            "layers": [sorted(layer) for layer in self.layers],
-            "obs_roots": sorted(self.obs_roots),
-            "obs_observers": sorted(self.obs_observers),
-        }
-        payload = json.dumps(doc, sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -278,6 +234,17 @@ def _as_str_tuple(value: Any, key: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _reject_unknown_keys(
+    table: dict[str, Any], known: tuple[str, ...], where: str
+) -> None:
+    unknown = sorted(set(table) - set(known))
+    if unknown:
+        raise StatcheckError(
+            f"{where} unknown key {unknown[0]!r} "
+            f"(known: {', '.join(known)})"
+        )
+
+
 def load_config(root: str | os.PathLike[str] | None = None) -> StatcheckConfig:
     """The repo's statcheck configuration (defaults when absent)."""
     rootp = find_root(root) if not isinstance(root, Path) else root
@@ -288,6 +255,12 @@ def load_config(root: str | os.PathLike[str] | None = None) -> StatcheckConfig:
         section = doc.get("tool", {}).get("statcheck", {})
     if not isinstance(section, dict):
         raise StatcheckError("[tool.statcheck] must be a table")
+    _reject_unknown_keys(
+        section,
+        ("paths", "exclude", "baseline", "disable", "package",
+         "arch", "obs", "rules"),
+        "[tool.statcheck]",
+    )
 
     kwargs: dict[str, Any] = {"root": rootp}
     if "paths" in section:
@@ -305,11 +278,6 @@ def load_config(root: str | os.PathLike[str] | None = None) -> StatcheckConfig:
         if unknown:
             raise StatcheckError(f"disable lists unknown rules: {unknown}")
         kwargs["disable"] = disable
-    if "cache" in section:
-        cache = section["cache"]
-        if cache is not None and not isinstance(cache, str):
-            raise StatcheckError("[tool.statcheck] cache must be a string")
-        kwargs["cache"] = cache or None
     if "package" in section:
         package = section["package"]
         if not isinstance(package, str) or not package:
@@ -321,6 +289,7 @@ def load_config(root: str | os.PathLike[str] | None = None) -> StatcheckConfig:
     arch = section.get("arch", {})
     if not isinstance(arch, dict):
         raise StatcheckError("[tool.statcheck.arch] must be a table")
+    _reject_unknown_keys(arch, ("layers",), "[tool.statcheck.arch]")
     if "layers" in arch:
         # each entry is one layer: a space-separated string of package
         # tokens (flat strings keep the table parseable by the minimal
@@ -344,6 +313,7 @@ def load_config(root: str | os.PathLike[str] | None = None) -> StatcheckConfig:
     obs = section.get("obs", {})
     if not isinstance(obs, dict):
         raise StatcheckError("[tool.statcheck.obs] must be a table")
+    _reject_unknown_keys(obs, ("roots", "observers"), "[tool.statcheck.obs]")
     if "roots" in obs:
         kwargs["obs_roots"] = _as_str_tuple(obs["roots"], "obs.roots")
     if "observers" in obs:
@@ -360,6 +330,9 @@ def load_config(root: str | os.PathLike[str] | None = None) -> StatcheckConfig:
             )
         if not isinstance(sub, dict):
             raise StatcheckError(f"rule table {code} must be a table")
+        _reject_unknown_keys(
+            sub, ("only", "allow"), f"[tool.statcheck.rules.{code}]"
+        )
         info = RULES[code]
         scopes[code] = RuleScope(
             only=_as_str_tuple(sub["only"], f"{code}.only")

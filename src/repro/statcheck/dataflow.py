@@ -17,8 +17,8 @@ module boundaries:
   live in different modules. Factory-of-factory chains resolve through
   :attr:`FunctionSummary.returns_rng` (``call:<qualname>`` links).
 
-The pass runs purely over cached :class:`ModuleSummary` objects — no
-re-parsing — so warm runs pay only an in-memory sweep.
+The pass runs purely over :class:`ModuleSummary` objects — no
+re-parsing — so it costs only an in-memory sweep.
 """
 
 from __future__ import annotations

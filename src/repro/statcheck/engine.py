@@ -1,4 +1,4 @@
-"""The statcheck engine: file walking, pragmas, cache, baseline, reports.
+"""The statcheck engine: file walking, pragmas, baseline, reports.
 
 Entry points:
 
@@ -8,9 +8,9 @@ Entry points:
   project rules (DET005, ARCH001, OBS002) alongside the per-file ones.
 * :func:`check_source` — one in-memory module, used by the unit tests
   and by tools embedding statcheck.
-* :func:`apply_fixes` — the ``--fix`` path: rewrite mechanically
-  fixable findings in place (idempotent; see
-  :mod:`repro.statcheck.autofix`).
+
+Every run parses and analyses every project module from scratch; there
+is no state between runs.
 
 Per-line escape hatch::
 
@@ -25,9 +25,7 @@ statement they sit on — any line of a multi-line statement works.
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass, field
@@ -39,7 +37,6 @@ from repro.statcheck.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.statcheck.cache import CachedModule, load_cache, write_cache
 from repro.statcheck.config import (
     StatcheckConfig,
     StatcheckError,
@@ -63,7 +60,6 @@ __all__ = [
     "Report",
     "check_source",
     "check_paths",
-    "apply_fixes",
     "iter_python_files",
     "pragma_map",
     "update_baseline",
@@ -84,10 +80,6 @@ class Report:
     grandfathered: list[Finding] = field(default_factory=list)
     pragma_suppressed: list[Finding] = field(default_factory=list)
     stale_baseline: list[dict[str, object]] = field(default_factory=list)
-    #: cache observability — summary-line only, deliberately NOT part
-    #: of to_dict() so --json stays byte-identical across warm/cold runs
-    modules_analyzed: int = 0
-    modules_cached: int = 0
 
     @property
     def clean(self) -> bool:
@@ -127,11 +119,6 @@ class Report:
             f"{len(self.grandfathered)} grandfathered, "
             f"{len(self.pragma_suppressed)} pragma-suppressed"
         )
-        if self.modules_analyzed or self.modules_cached:
-            summary += (
-                f" [{self.modules_analyzed} analyzed, "
-                f"{self.modules_cached} from cache]"
-            )
         if self.stale_baseline:
             summary += (
                 f", {len(self.stale_baseline)} stale baseline entrie(s) "
@@ -261,6 +248,18 @@ def _split_by_pragmas(
 # ----------------------------------------------------------------------
 # per-module analysis
 # ----------------------------------------------------------------------
+def _syntax_finding(exc: SyntaxError, relpath: str) -> Finding:
+    return Finding(
+        rule="PARSE001",
+        path=relpath,
+        line=exc.lineno or 1,
+        col=(exc.offset or 1) - 1,
+        message=f"syntax error: {exc.msg}",
+        fixit=RULES["PARSE001"].fixit,
+        text=(exc.text or "").strip(),
+    )
+
+
 def check_source(
     source: str,
     relpath: str,
@@ -272,16 +271,7 @@ def check_source(
     try:
         tree = ast.parse(source, filename=relpath)
     except SyntaxError as exc:
-        f = Finding(
-            rule="PARSE001",
-            path=relpath,
-            line=exc.lineno or 1,
-            col=(exc.offset or 1) - 1,
-            message=f"syntax error: {exc.msg}",
-            fixit=RULES["PARSE001"].fixit,
-            text=(exc.text or "").strip(),
-        )
-        return [f], []
+        return [_syntax_finding(exc, relpath)], []
     visitor = RuleVisitor(path=relpath, lines=lines, enabled=enabled)
     visitor.visit(tree)
     return _split_by_pragmas(visitor.findings, pragma_map(source, tree))
@@ -340,19 +330,16 @@ def _project_files(
 
 @dataclass
 class _ModuleFacts:
-    """Everything one module contributes to the run (fresh or cached)."""
+    """Everything one module contributes to the run."""
 
     relpath: str
     module: str
     is_package: bool
-    content_hash: str
-    source: str
     imports: list[ImportEdge]
     summary: ModuleSummary | None
     pragmas: dict[int, frozenset[str] | None]
     kept: list[Finding]
     suppressed: list[Finding]
-    from_cache: bool
 
 
 def _analyze_module(
@@ -360,27 +347,16 @@ def _analyze_module(
     relpath: str,
     module: str,
     is_package: bool,
-    content_hash: str,
     cfg: StatcheckConfig,
     known_modules: frozenset[str],
 ) -> _ModuleFacts:
     try:
         tree = ast.parse(source, filename=relpath)
     except SyntaxError as exc:
-        f = Finding(
-            rule="PARSE001",
-            path=relpath,
-            line=exc.lineno or 1,
-            col=(exc.offset or 1) - 1,
-            message=f"syntax error: {exc.msg}",
-            fixit=RULES["PARSE001"].fixit,
-            text=(exc.text or "").strip(),
-        )
         return _ModuleFacts(
             relpath=relpath, module=module, is_package=is_package,
-            content_hash=content_hash, source=source, imports=[],
-            summary=None, pragmas=_comment_pragmas(source),
-            kept=[f], suppressed=[], from_cache=False,
+            imports=[], summary=None, pragmas=_comment_pragmas(source),
+            kept=[_syntax_finding(exc, relpath)], suppressed=[],
         )
     enabled = cfg.enabled_rules(relpath)
     visitor = RuleVisitor(
@@ -391,13 +367,11 @@ def _analyze_module(
     kept, suppressed = _split_by_pragmas(visitor.findings, pragmas)
     return _ModuleFacts(
         relpath=relpath, module=module, is_package=is_package,
-        content_hash=content_hash, source=source,
         imports=extract_imports(tree, module, is_package, known_modules),
         summary=summarize_module(
             tree, module, relpath, is_package, cfg.package
         ),
         pragmas=pragmas, kept=kept, suppressed=suppressed,
-        from_cache=False,
     )
 
 
@@ -447,7 +421,6 @@ def check_paths(
     root: str | Path | None = None,
     config: StatcheckConfig | None = None,
     use_baseline: bool = True,
-    use_cache: bool = False,
 ) -> Report:
     """Run statcheck over ``paths`` (config defaults when None).
 
@@ -466,15 +439,12 @@ def check_paths(
     all_files = _project_files(cfg, requested)
 
     sources: dict[str, str] = {}
-    hashes: dict[str, str] = {}
     for rel in sorted(all_files):
         abspath = all_files[rel]
         try:
-            raw = abspath.read_bytes()
-            sources[rel] = raw.decode("utf-8")
+            sources[rel] = abspath.read_bytes().decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise StatcheckError(f"cannot read {abspath}: {exc}")
-        hashes[rel] = hashlib.sha256(raw).hexdigest()
 
     module_for: dict[str, str] = {}
     claimed: set[str] = set()
@@ -486,44 +456,20 @@ def check_paths(
         module_for[rel] = name
     known_modules = frozenset(module_for.values())
 
-    layout = json.dumps(sorted(module_for.items()), sort_keys=True)
-    cache_digest = hashlib.sha256(
-        (cfg.digest() + "\x00" + layout).encode()
-    ).hexdigest()
-    cache_path = cfg.cache_path
-    cached: dict[str, CachedModule] = (
-        load_cache(cache_path, cache_digest)
-        if use_cache and cache_path is not None else {}
-    )
-
     report = Report(root=str(cfg.root))
     report.files_checked = len(requested)
-    facts: dict[str, _ModuleFacts] = {}
-    for rel in sorted(all_files):
-        entry = cached.get(rel)
-        if entry is not None and entry.content_hash == hashes[rel]:
-            facts[rel] = _ModuleFacts(
-                relpath=rel, module=entry.module,
-                is_package=entry.is_package,
-                content_hash=entry.content_hash, source=sources[rel],
-                imports=list(entry.imports), summary=entry.summary,
-                pragmas=dict(entry.pragmas), kept=list(entry.kept),
-                suppressed=list(entry.suppressed), from_cache=True,
-            )
-            report.modules_cached += 1
-        else:
-            facts[rel] = _analyze_module(
-                sources[rel], rel, module_for[rel],
-                rel.endswith("__init__.py"), hashes[rel], cfg,
-                known_modules,
-            )
-            report.modules_analyzed += 1
+    facts = {
+        rel: _analyze_module(
+            sources[rel], rel, module_for[rel], rel.endswith("__init__.py"),
+            cfg, known_modules,
+        )
+        for rel in sorted(all_files)
+    }
 
     graph = ModuleGraph([
         ModuleNode(
             module=m.module, relpath=m.relpath,
-            content_hash=m.content_hash, is_package=m.is_package,
-            imports=m.imports,
+            is_package=m.is_package, imports=m.imports,
         )
         for m in facts.values()
     ])
@@ -559,62 +505,7 @@ def check_paths(
     report.new, report.grandfathered, report.stale_baseline = (
         apply_baseline(all_kept, entries)
     )
-
-    if use_cache and cache_path is not None:
-        payload = {
-            rel: CachedModule(
-                relpath=rel, module=m.module, is_package=m.is_package,
-                content_hash=m.content_hash,
-                project_key=hashlib.sha256(
-                    (graph.transitive_hash(m.module) + "\x00"
-                     + cache_digest).encode()
-                ).hexdigest(),
-                imports=m.imports,
-                summary=m.summary,
-                pragmas=m.pragmas,
-                kept=m.kept,
-                suppressed=m.suppressed,
-            )
-            for rel, m in sorted(facts.items())
-        }
-        try:
-            write_cache(cache_path, cache_digest, payload)
-        except OSError:
-            pass  # a read-only checkout still gets its report
     return report
-
-
-# ----------------------------------------------------------------------
-# --fix
-# ----------------------------------------------------------------------
-def apply_fixes(
-    paths: Sequence[str | Path] | None = None,
-    root: str | Path | None = None,
-    config: StatcheckConfig | None = None,
-) -> list[tuple[str, list[tuple[str, int]]]]:
-    """Rewrite mechanically fixable findings in place.
-
-    Returns ``(relpath, [(rule, line), ...])`` per changed file,
-    sorted. Fixing is idempotent — a second invocation applies
-    nothing (see :mod:`repro.statcheck.autofix`).
-    """
-    from repro.statcheck.autofix import fix_source
-
-    cfg = config if config is not None else load_config(root)
-    targets = [Path(p) for p in paths] if paths else [
-        Path(p) for p in cfg.paths
-    ]
-    changed: list[tuple[str, list[tuple[str, int]]]] = []
-    for abspath, rel in iter_python_files(targets, cfg):
-        try:
-            source = abspath.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise StatcheckError(f"cannot read {abspath}: {exc}")
-        result = fix_source(source, rel, cfg)
-        if result.changed:
-            abspath.write_text(result.source, encoding="utf-8")
-            changed.append((rel, result.applied))
-    return changed
 
 
 def update_baseline(report: Report, config: StatcheckConfig) -> Path:

@@ -14,15 +14,13 @@ they bind:
   layer but carry no layering obligation.
 
 Everything the graph exposes — dependency lists, SCCs, topological
-order, transitive closures, content-hash keys — is deterministically
-ordered, so a cold run is byte-reproducible and the incremental cache
-can key findings on ``transitive_hash``.
+order — is deterministically ordered, so every run is
+byte-reproducible.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -70,33 +68,13 @@ class ImportEdge:
     def module_level(self) -> bool:
         return not self.deferred and not self.type_only
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "target": self.target,
-            "line": self.line,
-            "col": self.col,
-            "deferred": self.deferred,
-            "type_only": self.type_only,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, object]) -> "ImportEdge":
-        return cls(
-            target=str(doc["target"]),
-            line=int(doc["line"]),        # type: ignore[arg-type]
-            col=int(doc["col"]),          # type: ignore[arg-type]
-            deferred=bool(doc["deferred"]),
-            type_only=bool(doc["type_only"]),
-        )
-
 
 @dataclass
 class ModuleNode:
-    """One project module: identity, content hash, internal imports."""
+    """One project module: identity and internal imports."""
 
     module: str
     relpath: str
-    content_hash: str
     is_package: bool = False
     imports: list[ImportEdge] = field(default_factory=list)
 
@@ -243,7 +221,6 @@ class ModuleGraph:
         self.nodes: dict[str, ModuleNode] = {
             n.module: n for n in sorted(nodes, key=lambda n: n.module)
         }
-        self._transitive: dict[str, frozenset[str]] | None = None
         self._sccs: list[tuple[str, ...]] | None = None
 
     # -- structure -------------------------------------------------------
@@ -261,30 +238,6 @@ class ModuleGraph:
             and e.target in self.nodes
         }
         return sorted(targets)
-
-    def transitive_deps(self, module: str) -> frozenset[str]:
-        """All modules reachable from ``module`` via *any* import edge.
-
-        Deferred and type-only edges are included: a dependency a
-        module resolves lazily still shapes its interprocedural
-        findings, so the cache must key on it too.
-        """
-        if self._transitive is None:
-            self._transitive = {}
-        cached = self._transitive.get(module)
-        if cached is not None:
-            return cached
-        seen: set[str] = set()
-        stack = [module]
-        while stack:
-            cur = stack.pop()
-            for dep in self.direct_deps(cur, module_level_only=False):
-                if dep not in seen:
-                    seen.add(dep)
-                    stack.append(dep)
-        result = frozenset(seen)
-        self._transitive[module] = result
-        return result
 
     # -- cycle detection -------------------------------------------------
     def sccs(self) -> list[tuple[str, ...]]:
@@ -372,23 +325,3 @@ class ModuleGraph:
         for mod in self.modules():
             visit(mod)
         return order
-
-    # -- cache keys ------------------------------------------------------
-    def transitive_hash(self, module: str) -> str:
-        """Content hash of ``module`` plus its whole transitive closure.
-
-        This is the incremental-cache key ingredient: it changes when
-        the module itself *or anything it can reach* changes, which is
-        exactly when interprocedural findings may shift.
-        """
-        node = self.nodes[module]
-        h = hashlib.sha256()
-        h.update(node.content_hash.encode())
-        for dep in sorted(self.transitive_deps(module)):
-            dep_node = self.nodes.get(dep)
-            if dep_node is not None:
-                h.update(b"\x00")
-                h.update(dep.encode())
-                h.update(b"\x01")
-                h.update(dep_node.content_hash.encode())
-        return h.hexdigest()

@@ -20,11 +20,8 @@ pass verifies the promise structurally:
    state". Mutating ``self`` (the observer's own accumulators) and
    locals remains legal — observers do aggregate.
 
-Like the other project rules this runs over cached summaries only, so
-it re-derives from scratch every run at in-memory cost: the roots
-depend on the *engine* module's content, which is outside the observer
-module's own dependency closure, so caching its findings per-module
-would go stale in the reverse direction.
+Like the other project rules this runs over module summaries only, at
+in-memory cost, re-deriving every finding on every run.
 """
 
 from __future__ import annotations

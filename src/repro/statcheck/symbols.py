@@ -5,9 +5,8 @@ project-resolvable call graph fragment rooted in this module, every
 RNG construction with a locally-computed *seed provenance* verdict,
 attribute-write sites against function parameters, and the set of
 method names the module invokes through attributes. The summary is
-pure local information — it depends only on this module's source — so
-the incremental cache stores it keyed on content hash alone, and the
-interprocedural passes (:mod:`repro.statcheck.dataflow`,
+pure local information — it depends only on this module's source — and
+the interprocedural passes (:mod:`repro.statcheck.dataflow`,
 :mod:`repro.statcheck.observers`) run over summaries without touching
 source again.
 
@@ -94,21 +93,6 @@ class RngCreation:
     reason: str     #: human-readable provenance trail
     has_args: bool
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "line": self.line, "col": self.col, "ctor": self.ctor,
-            "verdict": self.verdict, "reason": self.reason,
-            "has_args": self.has_args,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, object]) -> "RngCreation":
-        return cls(
-            line=int(d["line"]), col=int(d["col"]),    # type: ignore[arg-type]
-            ctor=str(d["ctor"]), verdict=str(d["verdict"]),
-            reason=str(d["reason"]), has_args=bool(d["has_args"]),
-        )
-
 
 @dataclass(frozen=True)
 class ParamWrite:
@@ -118,15 +102,6 @@ class ParamWrite:
     col: int
     param: str
     attr: str
-
-    def to_dict(self) -> dict[str, object]:
-        return {"line": self.line, "col": self.col,
-                "param": self.param, "attr": self.attr}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, object]) -> "ParamWrite":
-        return cls(line=int(d["line"]), col=int(d["col"]),  # type: ignore[arg-type]
-                   param=str(d["param"]), attr=str(d["attr"]))
 
 
 @dataclass(frozen=True)
@@ -138,16 +113,6 @@ class SeedArgCall:
     callee: str     #: resolved project qualname
     verdict: str    #: combined provenance of the call's arguments
     reason: str
-
-    def to_dict(self) -> dict[str, object]:
-        return {"line": self.line, "col": self.col, "callee": self.callee,
-                "verdict": self.verdict, "reason": self.reason}
-
-    @classmethod
-    def from_dict(cls, d: dict[str, object]) -> "SeedArgCall":
-        return cls(line=int(d["line"]), col=int(d["col"]),  # type: ignore[arg-type]
-                   callee=str(d["callee"]), verdict=str(d["verdict"]),
-                   reason=str(d["reason"]))
 
 
 @dataclass
@@ -165,63 +130,16 @@ class FunctionSummary:
     #: or ``call:<qualname>`` when the return value is a project call
     returns_rng: str = ""
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "params": list(self.params),
-            "writes": [w.to_dict() for w in self.writes],
-            "calls": list(self.calls),
-            "seed_calls": [c.to_dict() for c in self.seed_calls],
-            "creations": [c.to_dict() for c in self.creations],
-            "returns_rng": self.returns_rng,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, object]) -> "FunctionSummary":
-        return cls(
-            qualname=str(d["qualname"]),
-            line=int(d["line"]),                       # type: ignore[arg-type]
-            params=tuple(d["params"]),                 # type: ignore[arg-type]
-            writes=[ParamWrite.from_dict(w) for w in d["writes"]],  # type: ignore[union-attr]
-            calls=tuple(d["calls"]),                   # type: ignore[arg-type]
-            seed_calls=[SeedArgCall.from_dict(c) for c in d["seed_calls"]],  # type: ignore[union-attr]
-            creations=[RngCreation.from_dict(c) for c in d["creations"]],  # type: ignore[union-attr]
-            returns_rng=str(d["returns_rng"]),
-        )
-
 
 @dataclass
 class ModuleSummary:
-    """The cached per-module product of :func:`summarize_module`."""
+    """The per-module product of :func:`summarize_module`."""
 
     module: str
     relpath: str
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     #: method names this module calls through attribute access
     attr_calls: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "module": self.module,
-            "relpath": self.relpath,
-            "functions": {
-                q: f.to_dict() for q, f in sorted(self.functions.items())
-            },
-            "attr_calls": list(self.attr_calls),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, object]) -> "ModuleSummary":
-        return cls(
-            module=str(d["module"]),
-            relpath=str(d["relpath"]),
-            functions={
-                str(q): FunctionSummary.from_dict(f)
-                for q, f in d["functions"].items()  # type: ignore[union-attr]
-            },
-            attr_calls=tuple(d["attr_calls"]),       # type: ignore[arg-type]
-        )
 
 
 # ----------------------------------------------------------------------

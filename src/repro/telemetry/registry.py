@@ -7,10 +7,9 @@ the end (or periodically). Design points:
 * **Labeled series** — every metric fans out into one series per label
   set (``counter.inc(1, node="gpu00")``), mirroring the Prometheus data
   model so the text exposition falls out naturally.
-* **Bounded reservoirs** — histograms keep per-series bucket counts plus
-  an Algorithm-R reservoir for quantiles. The reservoir RNG is a private
-  ``random.Random`` seeded from the metric name, so recording samples
-  never consumes global/NumPy randomness — telemetry cannot perturb a
+* **Bounded memory** — histograms keep per-series bucket counts plus
+  a :class:`~repro.obs.sketch.QuantileSketch` for quantiles. Both are
+  deterministic and use no randomness, so telemetry cannot perturb a
   seeded simulation.
 * **Thread-safe** — one lock per registry guards both get-or-create and
   every series update; the simulation is mostly single-threaded but
@@ -23,9 +22,8 @@ the end (or periodically). Design points:
 from __future__ import annotations
 
 import math
-import random
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
@@ -127,14 +125,7 @@ class _HistogramSeries:
     total: float = 0.0
     minimum: float = math.inf
     maximum: float = -math.inf
-    reservoir: list = None  # type: ignore[assignment]
-    sketch: QuantileSketch = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.reservoir is None:
-            self.reservoir = []
-        if self.sketch is None:
-            self.sketch = QuantileSketch()
+    sketch: QuantileSketch = field(default_factory=QuantileSketch)
 
 
 @dataclass(frozen=True)
@@ -146,7 +137,6 @@ class HistogramSnapshot:
     total: float
     minimum: float
     maximum: float
-    samples: tuple
     sketch: QuantileSketch | None = None
 
     @property
@@ -154,28 +144,19 @@ class HistogramSnapshot:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Quantile estimate for the full stream.
-
-        Exact (reservoir order statistic) while every sample is still
-        retained; beyond the reservoir size it switches to the series'
-        :class:`~repro.obs.sketch.QuantileSketch`, whose relative error
-        is bounded instead of sampled — the reservoir's value past that
-        point is a lottery at fleet scale. ``q=0`` / ``q=1`` always
-        return the exactly-tracked extremes.
-        """
+        """Quantile estimate for the full stream, read off the series'
+        :class:`~repro.obs.sketch.QuantileSketch` (bounded relative
+        error, rank ``q * (count - 1)``; ``q=0`` / ``q=1`` return the
+        exactly-tracked extremes). 0 for an empty series."""
         if not 0.0 <= q <= 1.0:
             raise ConfigurationError(f"quantile must be in [0, 1]; got {q}")
-        if not self.samples:
+        if self.sketch is None:
             return 0.0
-        if self.sketch is not None and self.count > len(self.samples):
-            return self.sketch.quantile(q)
-        ordered = sorted(self.samples)
-        idx = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[idx]
+        return self.sketch.quantile(q)
 
 
 class Histogram(_Metric):
-    """Bucketed distribution with a bounded reservoir per label set."""
+    """Bucketed distribution with a quantile sketch per label set."""
 
     kind = "histogram"
 
@@ -185,31 +166,19 @@ class Histogram(_Metric):
         help: str,
         lock: threading.RLock,
         buckets: tuple = DEFAULT_BUCKETS,
-        reservoir_size: int = 512,
     ):
         super().__init__(name, help, lock)
         if not buckets or list(buckets) != sorted(set(buckets)):
             raise ConfigurationError(
                 "histogram buckets must be sorted, unique, and non-empty"
             )
-        if reservoir_size < 1:
-            raise ConfigurationError("reservoir size must be positive")
         self.buckets = tuple(float(b) for b in buckets)
-        self.reservoir_size = reservoir_size
-        # Private RNG: reservoir sampling must never touch global
-        # randomness (determinism contract of the simulation). Seeded
-        # from the metric name on purpose — the reservoir is a
-        # telemetry-only estimator and must be stable per metric
-        # without threading the experiment seed into the registry.
-        self._rng = random.Random(  # statcheck: ignore[DET005] name-keyed telemetry reservoir, not an experiment RNG
-            f"repro.telemetry:{name}"
-        )
 
     def observe(self, value: float, count: int = 1, **labels) -> None:
         """Record ``value`` (``count`` times, exactly as ``count``
-        sequential single observes — including the reservoir's RNG
-        draws). Bulk counts are the batched-mirror path: hot loops keep
-        a plain ``{value: n}`` dict and flush it periodically."""
+        sequential single observes). Bulk counts are the batched-mirror
+        path: hot loops keep a plain ``{value: n}`` dict and flush it
+        periodically."""
         if count < 1:
             raise ConfigurationError("observe count must be positive")
         key = _label_key(labels)
@@ -222,20 +191,12 @@ class Histogram(_Metric):
                 if value <= bound:
                     s.bucket_counts[i] += count
                     break
-            before = s.count
             s.count += count
             s.total += value * count
             s.minimum = min(s.minimum, value)
             s.maximum = max(s.maximum, value)
             if math.isfinite(value):
                 s.sketch.add(value, count)
-            for i in range(count):
-                if len(s.reservoir) < self.reservoir_size:
-                    s.reservoir.append(value)
-                else:  # Vitter's Algorithm R
-                    j = self._rng.randrange(before + i + 1)
-                    if j < self.reservoir_size:
-                        s.reservoir[j] = value
 
     def snapshot(self, **labels) -> HistogramSnapshot:
         with self._lock:
@@ -247,7 +208,6 @@ class Histogram(_Metric):
                     total=0.0,
                     minimum=0.0,
                     maximum=0.0,
-                    samples=(),
                     sketch=None,
                 )
             cumulative, acc = [], 0
@@ -261,13 +221,12 @@ class Histogram(_Metric):
                 total=s.total,
                 minimum=s.minimum if s.count else 0.0,
                 maximum=s.maximum if s.count else 0.0,
-                samples=tuple(s.reservoir),
                 sketch=s.sketch.copy(),
             )
 
 
 class SketchMetric(_Metric):
-    """A pure-sketch distribution metric (no fixed buckets, no reservoir).
+    """A pure-sketch distribution metric (no fixed buckets).
 
     The streaming replacement for :class:`Histogram` where the bucket
     ladder cannot be known up front and percentiles must stay trustworthy
@@ -356,11 +315,8 @@ class MetricsRegistry:
         name: str,
         help: str = "",
         buckets: tuple = DEFAULT_BUCKETS,
-        reservoir_size: int = 512,
     ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, help, buckets=buckets, reservoir_size=reservoir_size
-        )
+        return self._get_or_create(Histogram, name, help, buckets=buckets)
 
     def sketch(
         self,

@@ -530,7 +530,6 @@ class TestBatchedMirrorPrimitives:
         assert a.buckets == b.buckets
         assert a.count == b.count == 7
         assert a.total == b.total
-        assert a.samples == b.samples  # reservoir RNG stream included
         assert a.sketch == b.sketch
 
     def test_bulk_observe_rejects_nonpositive_count(self):
@@ -544,7 +543,7 @@ class TestBatchedMirrorPrimitives:
         for i in range(n):
             tel.observe("wide", float((i * 7919) % n + 1))
         snap = tel.registry.collect()[0].snapshot()
-        assert snap.count == n > len(snap.samples)
+        assert snap.count == n
         exact = float(int(0.99 * n))
         assert abs(snap.quantile(0.99) - exact) / exact <= 0.02
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -254,6 +255,22 @@ def test_config_rejects_unknown_rule(tmp_path):
         load_config(tmp_path)
 
 
+@pytest.mark.parametrize("table, key", [
+    ("[tool.statcheck]", "baselin"),
+    ("[tool.statcheck.arch]", "layer"),
+    ("[tool.statcheck.obs]", "root"),
+    ("[tool.statcheck.rules.DET001]", "alow"),
+])
+def test_config_rejects_unknown_key(tmp_path, table, key, capsys):
+    (tmp_path / "pyproject.toml").write_text(f'{table}\n{key} = []\n')
+    message = re.escape(f"{table} unknown key '{key}'")
+    with pytest.raises(StatcheckError, match=message):
+        load_config(tmp_path)
+    assert main(["statcheck", "--root", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"'{key}'" in err
+
+
 def test_rule_scope_overrides_replace_defaults(tmp_path):
     (tmp_path / "pyproject.toml").write_text(
         '[tool.statcheck]\npaths = ["src"]\n'
@@ -273,6 +290,10 @@ def test_live_tree_clean_modulo_baseline():
     assert report.clean, "\n" + report.render()
     # the shipped baseline must not rot: no stale entries either
     assert report.stale_baseline == []
+
+
+def test_live_tree_needs_no_pragmas():
+    assert check_paths(root=REPO_ROOT).pragma_suppressed == []
 
 
 def test_live_tree_checks_the_whole_library():

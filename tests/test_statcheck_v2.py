@@ -1,4 +1,4 @@
-"""Statcheck v2: whole-program graph, project rules, cache, SARIF, --fix.
+"""Statcheck v2: whole-program graph, project rules, SARIF.
 
 Covers the interprocedural layer on top of the per-file linter:
 
@@ -8,11 +8,7 @@ Covers the interprocedural layer on top of the per-file linter:
   exemptions);
 * OBS002 pure-observer verification (self-mutation and subscript
   writes stay legal);
-* the incremental cache — cold/warm counts, direct and transitive
-  invalidation, and the guarantee it never changes results;
 * SARIF 2.1.0 export, validated against a vendored schema subset;
-* ``--fix`` rewrites (DET004 → clock helpers, HYG001 → None-guard)
-  and their idempotence;
 * tokenizer-based pragmas: string literals never suppress, any line
   of a multi-line statement does.
 """
@@ -28,14 +24,12 @@ import pytest
 
 from repro.cli import main
 from repro.statcheck import (
-    Report,
     StatcheckError,
     check_paths,
     check_source,
     load_config,
     to_sarif,
 )
-from repro.statcheck.autofix import fix_source
 from repro.statcheck.graph import ModuleGraph, ModuleNode, module_name_for
 
 pytestmark = pytest.mark.statcheck
@@ -49,7 +43,7 @@ def _mini_repo(tmp_path: Path, files: dict[str, str],
     root = tmp_path / "mini"
     (root / "src" / "repro").mkdir(parents=True)
     (root / "pyproject.toml").write_text(
-        '[tool.statcheck]\npaths = ["src"]\nbaseline = ""\ncache = ""\n'
+        '[tool.statcheck]\npaths = ["src"]\nbaseline = ""\n'
         + extra_config,
         encoding="utf-8",
     )
@@ -85,7 +79,6 @@ def test_module_graph_orders_are_deterministic():
         from repro.statcheck.graph import ImportEdge
         return ModuleNode(
             module=mod, relpath=f"src/{mod.replace('.', '/')}.py",
-            content_hash="0" * 64,
             imports=[ImportEdge(d, 1, 0, False, False) for d in deps],
         )
 
@@ -99,7 +92,6 @@ def test_module_graph_orders_are_deterministic():
     assert graphs[0].topo_order() == graphs[1].topo_order()
     assert graphs[0].sccs() == graphs[1].sccs()
     assert ("repro.a", "repro.b") in graphs[0].sccs()
-    assert graphs[0].transitive_deps("repro.c") == {"repro.a", "repro.b"}
 
 
 def test_module_name_for_layouts():
@@ -345,132 +337,6 @@ def test_live_tree_project_rules_are_not_vacuous():
 
 
 # ----------------------------------------------------------------------
-# incremental cache
-# ----------------------------------------------------------------------
-_CACHE_FILES = {
-    "src/repro/dep.py": """\
-        import random
-
-        def make_rng(seed):
-            return random.Random(seed)
-        """,
-    "src/repro/top.py": """\
-        from repro.dep import make_rng
-
-        def get(seed):
-            return make_rng(seed)
-        """,
-}
-
-
-def _cache_repo(tmp_path):
-    root = tmp_path / "mini"
-    (root / "src" / "repro").mkdir(parents=True)
-    (root / "pyproject.toml").write_text(
-        '[tool.statcheck]\npaths = ["src"]\nbaseline = ""\n'
-        'cache = ".statcheck-cache.json"\n',
-        encoding="utf-8",
-    )
-    for rel, body in _CACHE_FILES.items():
-        (root / rel).write_text(textwrap.dedent(body), encoding="utf-8")
-    return root
-
-
-def _run(root) -> Report:
-    return check_paths(root=root, use_baseline=False, use_cache=True)
-
-
-def test_cache_cold_then_warm(tmp_path):
-    root = _cache_repo(tmp_path)
-    cold = _run(root)
-    assert cold.modules_analyzed == 2 and cold.modules_cached == 0
-    assert (root / ".statcheck-cache.json").is_file()
-    warm = _run(root)
-    assert warm.modules_analyzed == 0 and warm.modules_cached == 2
-    assert [f.to_dict() for f in warm.new] == \
-        [f.to_dict() for f in cold.new]
-
-
-def test_cache_direct_edit_reanalyzes_only_that_module(tmp_path):
-    root = _cache_repo(tmp_path)
-    _run(root)
-    top = root / "src" / "repro" / "top.py"
-    top.write_text(
-        top.read_text(encoding="utf-8") + "\nX = 1\n", encoding="utf-8"
-    )
-    report = _run(root)
-    assert report.modules_analyzed == 1 and report.modules_cached == 1
-
-
-def test_cache_transitive_edit_shifts_project_key_and_findings(tmp_path):
-    """Editing dep.py changes top.py's project_key, and DET005 findings
-    attributed to top.py follow the dependency's new semantics even
-    though top.py itself is served from cache."""
-    root = _cache_repo(tmp_path)
-    _run(root)
-    doc1 = json.loads(
-        (root / ".statcheck-cache.json").read_text(encoding="utf-8")
-    )
-    dep = root / "src" / "repro" / "dep.py"
-    # the factory now swallows the seed: callers' provenance flips
-    dep.write_text(textwrap.dedent("""\
-        import random
-
-        def make_rng(seed):
-            return random.Random(None)
-        """), encoding="utf-8")
-    report = _run(root)
-    assert report.modules_analyzed == 1  # only dep.py re-parsed
-    assert {(f.path, f.rule) for f in report.new} == {
-        ("src/repro/dep.py", "DET005"),
-    }
-    doc2 = json.loads(
-        (root / ".statcheck-cache.json").read_text(encoding="utf-8")
-    )
-    k1 = doc1["modules"]["src/repro/top.py"]["project_key"]
-    k2 = doc2["modules"]["src/repro/top.py"]["project_key"]
-    assert k1 != k2  # transitive closure hash moved
-    assert doc1["modules"]["src/repro/top.py"]["content_hash"] == \
-        doc2["modules"]["src/repro/top.py"]["content_hash"]
-
-
-def test_cache_invalidated_by_config_change(tmp_path):
-    root = _cache_repo(tmp_path)
-    _run(root)
-    pyproject = root / "pyproject.toml"
-    pyproject.write_text(
-        pyproject.read_text(encoding="utf-8")
-        + '[tool.statcheck.arch]\nlayers = ["dep", "top"]\n',
-        encoding="utf-8",
-    )
-    report = _run(root)
-    assert report.modules_cached == 0  # wholesale discard
-
-
-def test_cache_corruption_is_survivable(tmp_path):
-    root = _cache_repo(tmp_path)
-    _run(root)
-    (root / ".statcheck-cache.json").write_text("{not json", encoding="utf-8")
-    report = _run(root)
-    assert report.modules_analyzed == 2
-    assert report.new == []
-
-
-def test_no_cache_flag_leaves_no_file(tmp_path):
-    root = _cache_repo(tmp_path)
-    check_paths(root=root, use_baseline=False, use_cache=False)
-    assert not (root / ".statcheck-cache.json").exists()
-
-
-def test_clear_cache_cli(tmp_path, capsys):
-    root = _cache_repo(tmp_path)
-    _run(root)
-    assert (root / ".statcheck-cache.json").is_file()
-    assert main(["statcheck", "--root", str(root), "--clear-cache"]) == 0
-    assert not (root / ".statcheck-cache.json").exists()
-
-
-# ----------------------------------------------------------------------
 # SARIF export
 # ----------------------------------------------------------------------
 def _sarif_doc():
@@ -530,67 +396,6 @@ def test_sarif_cli_output_is_valid_json(capsys):
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["version"] == "2.1.0"
-
-
-# ----------------------------------------------------------------------
-# --fix
-# ----------------------------------------------------------------------
-def test_fix_det004_rewrites_to_clock_helpers():
-    cfg = load_config(FIXTURES)
-    source = textwrap.dedent("""\
-        def is_free(avail, now):
-            return avail <= now + 1e-9
-
-        def overdue(end, now):
-            return now - 1e-6 > end
-        """)
-    result = fix_source(source, "src/repro/cluster/x.py", cfg)
-    assert "time_le(avail, now)" in result.source
-    assert "time_lt(end, now)" in result.source
-    assert "from repro.clock import time_le, time_lt" in result.source
-    # the rewrite is semantics-preserving at ordinary magnitudes
-    ns: dict = {}
-    exec(result.source, ns)  # noqa: S102 - test-authored source
-    assert ns["is_free"](5.0, 5.0) is True
-    assert ns["is_free"](5.1, 5.0) is False
-    assert ns["overdue"](4.0, 5.0) is True
-    assert ns["overdue"](5.0, 5.0) is False
-
-
-def test_fix_is_idempotent_and_respects_pragmas(tmp_path):
-    root = tmp_path / "mini"
-    shutil.copytree(FIXTURES, root)
-    epsilon = root / "src" / "repro" / "cluster" / "bad_epsilon.py"
-    first = main(["statcheck", "--root", str(root), "--fix",
-                  "--no-baseline"])
-    assert first == 1  # unfixable findings remain
-    fixed = epsilon.read_text(encoding="utf-8")
-    assert "time_le(" in fixed
-    # the pragma-suppressed epsilon was deliberately NOT fixed
-    assert "available_at <= now + 1e-9  # statcheck: ignore[DET004]" in fixed
-    # second run applies nothing: byte-identical tree
-    main(["statcheck", "--root", str(root), "--fix", "--no-baseline"])
-    assert epsilon.read_text(encoding="utf-8") == fixed
-
-
-def test_fix_hyg001_none_guard_after_docstring():
-    cfg = load_config(FIXTURES)
-    source = textwrap.dedent('''\
-        def collect(x, into=[], mapping={}):
-            """Docstring stays first."""
-            into.append(x)
-            mapping[x] = True
-            return into, mapping
-        ''')
-    result = fix_source(source, "src/repro/x.py", cfg)
-    assert "into=None" in result.source and "mapping=None" in result.source
-    ns: dict = {}
-    exec(result.source, ns)  # noqa: S102 - test-authored source
-    assert ns["collect"].__doc__ == "Docstring stays first."
-    assert ns["collect"](1) == ([1], {1: True})
-    assert ns["collect"](2) == ([2], {2: True})  # defaults not shared
-    again = fix_source(result.source, "src/repro/x.py", cfg)
-    assert not again.changed
 
 
 # ----------------------------------------------------------------------

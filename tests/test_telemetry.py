@@ -114,16 +114,6 @@ class TestRegistry:
         assert snap.quantile(0.0) == 0.05
         assert snap.quantile(1.0) == 50.0
 
-    def test_histogram_reservoir_is_bounded(self):
-        h = MetricsRegistry().histogram(
-            "r", buckets=(1e9,), reservoir_size=16
-        )
-        for i in range(1000):
-            h.observe(float(i))
-        snap = h.snapshot()
-        assert len(snap.samples) == 16
-        assert snap.count == 1000
-
     def test_get_or_create_idempotent_and_type_checked(self):
         reg = MetricsRegistry()
         assert reg.counter("x") is reg.counter("x")
@@ -536,12 +526,21 @@ class TestHistogramQuantileEdges:
         assert snap.quantile(0.0) == snap.minimum == 1.0
         assert snap.quantile(1.0) == snap.maximum == 3.0
 
+    def test_small_series_uses_the_sketch_rank_convention(self):
+        # one rank convention at every size: order statistic
+        # floor(q * (count - 1)), so p50 of {1, 3} is the lower sample
+        h = MetricsRegistry().histogram("h")
+        h.observe(3.0)
+        h.observe(1.0)
+        snap = h.snapshot()
+        assert snap.quantile(0.5) == snap.sketch.quantile(0.5) == 1.0
+
     def test_quantile_after_reservoir_eviction_stays_in_range(self):
-        h = MetricsRegistry().histogram("h", reservoir_size=32)
+        h = MetricsRegistry().histogram("h")
         for i in range(5000):
             h.observe(float(i))
         snap = h.snapshot()
-        assert snap.count == 5000 > len(snap.samples) == 32
+        assert snap.count == 5000
         for q in (0.0, 0.5, 0.95, 1.0):
             assert snap.minimum <= snap.quantile(q) <= snap.maximum
         # min/max track the full stream, not just the reservoir
