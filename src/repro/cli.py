@@ -644,14 +644,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         admission = BoundedQueue(args.max_pending)
     elif args.admission == "token-bucket":
         admission = TokenBucket(
-            args.admit_rate if args.admit_rate else args.rate,
+            args.admit_rate if args.admit_rate is not None else args.rate,
             burst=args.admit_burst,
         )
     else:
         admission = AdmitAll()
 
     if args.arrivals == "diurnal":
-        peak = args.peak_rate if args.peak_rate else 2.0 * args.rate
+        peak = args.peak_rate if args.peak_rate is not None else 2.0 * args.rate
         arrivals = DiurnalBurstArrivals(
             base_rate=args.rate,
             peak_rate=peak,
@@ -1108,19 +1108,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arrivals", choices=("poisson", "diurnal"),
                    default="poisson",
                    help="arrival process shape")
-    p.add_argument("--peak-rate", type=float, default=None,
+    p.add_argument("--peak-rate", type=_float_above(0.0), default=None,
                    help="diurnal crest rate (default: 2x --rate)")
-    p.add_argument("--period", type=float, default=600.0,
+    p.add_argument("--period", type=_float_above(0.0), default=600.0,
                    help="diurnal period in simulated seconds")
-    p.add_argument("--pool-size", type=int, default=6,
+    p.add_argument("--pool-size", type=positive, default=6,
                    help="distinct benchmarks in the arrival mix")
     p.add_argument("--admission",
                    choices=("admit-all", "bounded", "token-bucket"),
                    default="admit-all",
                    help="backpressure policy at the fleet door")
-    p.add_argument("--max-pending", type=int, default=512,
+    p.add_argument("--max-pending", type=positive, default=512,
                    help="queue bound (with --admission bounded)")
-    p.add_argument("--admit-rate", type=float, default=None,
+    p.add_argument("--admit-rate", type=_float_above(0.0), default=None,
                    help="token refill rate (with --admission "
                         "token-bucket; default: --rate)")
     p.add_argument("--admit-burst", type=float, default=16.0,
@@ -1131,10 +1131,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cluster-level routing policy (agent trains the "
                         "placement DQN first)")
     p.add_argument("--window", type=positive, default=6)
-    p.add_argument("--c-max", type=int, default=3)
+    p.add_argument("--c-max", type=positive, default=3)
     p.add_argument("--episodes", type=positive, default=12,
                    help="node-level offline training episodes")
-    p.add_argument("--placement-episodes", type=int, default=10,
+    p.add_argument("--placement-episodes", type=positive, default=10,
                    help="placement-level rollout episodes "
                         "(with --placement agent)")
     p.add_argument("--jobs-per-episode", type=positive, default=100,

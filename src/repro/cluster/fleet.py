@@ -48,7 +48,12 @@ cluster level above the node level: every admitted arrival is routed to
 a per-node queue by a placement policy at arrival-event time, and each
 dispatch round cuts one window per idle node *from that node's own
 queue* (the node-level agent keeps choosing groups and partitions
-exactly as before). With placement off — the default — none of the
+exactly as before). The placement level reads the fleet through
+:class:`NodeArrays` — per-node queue depth, class counts, queued solo
+seconds, running mix, busy flag and availability — which the engine
+keeps current row by row wherever a node's state changes; a
+placed round cuts from the set of nodes with a non-empty queue rather
+than from the idle heap. With placement off — the default — none of the
 hierarchical state exists and dispatch is bitwise-identical to the
 single-queue engine.
 
@@ -64,6 +69,8 @@ import enum
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.clock import Clock, time_le, time_lt
 from repro.errors import SchedulingError
@@ -90,12 +97,14 @@ __all__ = [
     "FleetSnapshot",
     "FleetResult",
     "FleetEngine",
+    "NodeArrays",
     "CLASS_RANK",
+    "job_class_index",
     "window_signature",
 ]
 
 #: canonical feature order for workload-class histograms (Table IV
-#: classes) — shared with :mod:`repro.hierarchy.features`.
+#: classes), read through :func:`job_class_index`.
 CLASS_RANK: dict[str, int] = {"CI": 0, "MI": 1, "US": 2}
 
 
@@ -104,6 +113,103 @@ def window_signature(names) -> str:
     the key under which the fleet-wide decision cache would memoize the
     window's schedule."""
     return "+".join(sorted(names))
+
+
+def job_class_index(benchmark_name: str) -> int:
+    """CI/MI/US -> 0/1/2 (Table IV classes; unknown programs fall back
+    to the unsaturated class)."""
+    return CLASS_RANK.get(PAPER_CLASSES.get(benchmark_name, "US"), 2)
+
+
+class NodeArrays:
+    """The placement level's per-node state as parallel arrays.
+
+    A placement-enabled :class:`FleetEngine` keeps one row per node over
+    its per-node queues and updates a row wherever that node changes:
+    :meth:`joined` when a job is appended to its queue, :meth:`left`
+    when jobs are cut or cancelled from it, :meth:`sync` when its busy
+    flag or availability moves. The placement level then reads the
+    whole fleet in a few array expressions instead of walking every
+    queue. The rows hold raw quantities only; normalization and the
+    co-run speed model belong to :mod:`repro.hierarchy.features`.
+    """
+
+    __slots__ = (
+        "depth", "classes", "mix", "busy", "available_at", "nonempty",
+        "_solo", "_stale", "_queues", "_facts",
+    )
+
+    def __init__(self, queues: list[deque]) -> None:
+        n_nodes = len(queues)
+        #: jobs queued on the node
+        self.depth = np.zeros(n_nodes, dtype=np.int64)
+        #: CI/MI/US counts of the queued jobs
+        self.classes = np.zeros((n_nodes, 3), dtype=np.int64)
+        #: CI/MI/US counts of the node's last-dispatched window
+        self.mix = np.zeros((n_nodes, 3), dtype=np.int64)
+        self.busy = np.zeros(n_nodes, dtype=bool)
+        self.available_at = np.zeros(n_nodes, dtype=np.float64)
+        #: indices of nodes with a non-empty queue (the ready set)
+        self.nonempty: set[int] = set()
+        self._solo = np.zeros(n_nodes, dtype=np.float64)
+        self._stale: set[int] = set()  # rows whose solo sum needs a re-sum
+        self._queues = queues
+        # (class index, solo seconds) per program name: both depend on
+        # the program alone
+        self._facts: dict[str, tuple[int, float]] = {}
+
+    @property
+    def solo(self) -> np.ndarray:
+        """Queued solo seconds per node, summed front to back.
+
+        A row some job left is re-summed from its queue on the next
+        read, never kept as a running add/subtract, so its rounding
+        (and every feature derived from it) does not depend on the
+        order of past updates.
+        """
+        if self._stale:
+            facts = self._facts
+            for index in self._stale:
+                total = 0.0
+                for job, _ in self._queues[index]:
+                    total += facts[job.benchmark_name][1]
+                self._solo[index] = total
+            self._stale.clear()
+        return self._solo
+
+    def joined(self, index: int, job: Job) -> None:
+        """``job`` was appended to node ``index``'s queue."""
+        facts = self._facts.get(job.benchmark_name)
+        if facts is None:
+            facts = (job_class_index(job.benchmark_name), job.solo_time)
+            self._facts[job.benchmark_name] = facts
+        self.depth[index] += 1
+        self.classes[index, facts[0]] += 1
+        # the last step of the front-to-back sum, so bit-equal to a
+        # re-sum (a stale row is re-summed on read regardless)
+        self._solo[index] += facts[1]
+        self.nonempty.add(index)
+
+    def left(self, index: int, entries) -> None:
+        """The ``(job, submit_time)`` ``entries`` were removed from node
+        ``index``'s queue."""
+        counts = [0, 0, 0]
+        for job, _ in entries:
+            counts[self._facts[job.benchmark_name][0]] += 1
+        self.depth[index] -= len(entries)
+        self.classes[index] -= counts
+        if self._queues[index]:
+            self._stale.add(index)
+        else:
+            self._solo[index] = 0.0
+            self._stale.discard(index)
+            self.nonempty.discard(index)
+
+    def sync(self, index: int, busy: bool, available_at: float) -> None:
+        """Node ``index``'s busy flag and availability horizon."""
+        self.busy[index] = busy
+        self.available_at[index] = available_at
+
 
 #: windows per dispatch round (batched-serving batch size)
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
@@ -497,12 +603,10 @@ class FleetEngine:
             self._node_pending: list[deque] | None = [
                 deque() for _ in cluster.nodes
             ]
-            self._node_mix: list[list[int]] = [
-                [0, 0, 0] for _ in cluster.nodes
-            ]
+            self._arrays: NodeArrays | None = NodeArrays(self._node_pending)
         else:
             self._node_pending = None
-            self._node_mix = []
+            self._arrays = None
         self._window_sigs: set[str] = set()
         self._attempts: dict[str, int] = {}  # crash re-queues per job id
         self._sources: list = []  # open-loop arrival iterators
@@ -520,10 +624,17 @@ class FleetEngine:
         self._gen = [0] * n  # availability generation (outage bumps)
         self._is_idle = [True] * n
         self._idle_count = n
-        self._idle: list[tuple[float, int, int]] = [
-            (node.available_at, i, 0) for i, node in enumerate(cluster.nodes)
-        ]
-        heapq.heapify(self._idle)
+        # flat mode picks idle nodes earliest-available first from a
+        # heap; placed mode cuts from the ready set (NodeArrays.nonempty)
+        self._idle: list[tuple[float, int, int]] = []
+        if self._arrays is None:
+            self._idle = [
+                (node.available_at, i, 0) for i, node in enumerate(cluster.nodes)
+            ]
+            heapq.heapify(self._idle)
+        else:
+            for i in range(n):
+                self._sync_node(i)
         if faults is not None:
             for node in cluster.nodes:
                 node.device.faults = faults
@@ -698,10 +809,13 @@ class FleetEngine:
                 return  # superseded by an outage/reconfig
             self._is_idle[index] = True
             self._idle_count += 1
-            heapq.heappush(
-                self._idle,
-                (self.cluster.nodes[index].available_at, index, gen),
-            )
+            if self._arrays is None:
+                heapq.heappush(
+                    self._idle,
+                    (self.cluster.nodes[index].available_at, index, gen),
+                )
+            else:
+                self._sync_node(index)
         elif kind is EventKind.REQUEUE:
             self._live_requeues -= 1
             job, submit_time = payload
@@ -724,6 +838,8 @@ class FleetEngine:
             self._gen[index] += 1
             horizon = max(self.now, node.available_at) + duration
             node.device.clock = horizon  # unavailable until repaired
+            if self._arrays is not None:
+                self._sync_node(index)
             self.events.push(
                 horizon, EventKind.COMPLETION, (index, self._gen[index])
             )
@@ -835,9 +951,18 @@ class FleetEngine:
     # hierarchical placement (cluster level)
     # ------------------------------------------------------------------
     def _queue_depth(self) -> int:
-        if self._node_pending is None:
+        if self._arrays is None:
             return len(self._pending)
-        return sum(len(q) for q in self._node_pending)
+        return int(self._arrays.depth.sum())
+
+    def _sync_node(self, index: int) -> None:
+        """Copy node ``index``'s busy flag and availability into its
+        :class:`NodeArrays` row."""
+        self._arrays.sync(
+            index,
+            not self._is_idle[index],
+            self.cluster.nodes[index].available_at,
+        )
 
     def _route(self, job: Job, submit_time: float) -> None:
         """Ask the placement level for a node and enqueue the job there."""
@@ -859,6 +984,7 @@ class FleetEngine:
                 f"{len(self.cluster.nodes)} nodes"
             )
         self._node_pending[index].append((job, submit_time))
+        self._arrays.joined(index, job)
         self.placements.append((job.benchmark_name, index))
         if self.lifecycle is not None:
             self.lifecycle.placed(
@@ -884,6 +1010,7 @@ class FleetEngine:
         self.stats.submitted += 1
         self.stats.admitted += 1
         self._node_pending[node_index].append((job, t))
+        self._arrays.joined(node_index, job)
         self.placements.append((job.benchmark_name, node_index))
         self._dispatch_round(drain=True)
 
@@ -901,10 +1028,12 @@ class FleetEngine:
         a submission still in the heap was never counted at all.
         """
         queues = self._node_pending if self._node_pending is not None else [self._pending]
-        for queue in queues:
+        for index, queue in enumerate(queues):
             for entry in queue:
                 if entry[0].job_id == job_id:
                     queue.remove(entry)
+                    if self._arrays is not None:
+                        self._arrays.left(index, (entry,))
                     self._withdrawn(entry[0])
                     return
 
@@ -940,14 +1069,24 @@ class FleetEngine:
             raise SchedulingError("engine has no placement level")
         return self._node_pending[index]
 
+    @property
+    def node_arrays(self) -> NodeArrays:
+        """Every node's placement state as arrays (placement engines
+        only); rows are current after every event the engine applies."""
+        if self._arrays is None:
+            raise SchedulingError("engine has no placement level")
+        return self._arrays
+
     def node_is_idle(self, index: int) -> bool:
         return self._is_idle[index]
 
     def node_mix(self, index: int) -> tuple[int, int, int]:
         """Class histogram (CI, MI, US) of the node's last-dispatched
         window — the running mix a newly-routed job would co-run after."""
-        mix = self._node_mix[index] if self._node_mix else (0, 0, 0)
-        return (mix[0], mix[1], mix[2])
+        if self._arrays is None:
+            return (0, 0, 0)
+        ci, mi, us = self._arrays.mix[index].tolist()
+        return (ci, mi, us)
 
     def window_seen(self, signature: str) -> bool:
         """Whether a window with this :func:`window_signature` has been
@@ -1039,26 +1178,19 @@ class FleetEngine:
         min_batch = 1 if drain and not self._work_incoming() else self.min_batch
         if self._idle_count == 0:
             return 0
-        ready: list[tuple[float, int, int]] = []
-        parked: list[tuple[float, int, int]] = []
-        while self._idle:
-            entry = heapq.heappop(self._idle)
-            if entry[2] != self._gen[entry[1]]:
-                continue  # stale generation
-            if len(queues[entry[1]]) >= min_batch:
-                ready.append(entry)
-            else:
-                parked.append(entry)  # idle but nothing routed here yet
-        for entry in parked:
-            heapq.heappush(self._idle, entry)
+        is_idle = self._is_idle
+        ready = sorted(  # node order, like the flat round
+            i for i in self.node_arrays.nonempty
+            if is_idle[i] and len(queues[i]) >= min_batch
+        )
         if not ready:
             return 0
-        ready.sort(key=lambda e: e[1])  # node order, like the flat round
         cuts: list[tuple] = []
-        for avail, index, gen in ready:
+        for index in ready:
             queue = queues[index]
             take = min(self.window_size, len(queue))
             window = [queue.popleft() for _ in range(take)]
+            self._arrays.left(index, window)
             policy = self.selector.select(
                 queue_depth=len(queue) + take, free_gpus=1
             )
@@ -1109,11 +1241,11 @@ class FleetEngine:
             sig = window_signature(job.benchmark_name for job, _ in window)
             window_seen = sig in self._window_sigs
             self._window_sigs.add(sig)
-        if self._node_pending is not None:
+        if self._arrays is not None:
             mix = [0, 0, 0]
             for job, _ in window:
-                mix[CLASS_RANK.get(PAPER_CLASSES.get(job.benchmark_name, "US"), 2)] += 1
-            self._node_mix[index] = mix
+                mix[job_class_index(job.benchmark_name)] += 1
+            self._arrays.mix[index] = mix
         if self.collect_windows:
             self.collected_windows.append(
                 tuple(job.benchmark_name for job, _ in window)
@@ -1174,6 +1306,8 @@ class FleetEngine:
                     terminal.append((job, submit_time, "completed"))
         self._is_idle[index] = False
         self._idle_count -= 1
+        if self._arrays is not None:
+            self._sync_node(index)
         self.events.push(
             outcome.end_time, EventKind.COMPLETION, (index, self._gen[index])
         )

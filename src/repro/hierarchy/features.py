@@ -23,18 +23,23 @@ one network serves fleets of any load.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
-from repro.cluster.fleet import CLASS_RANK, FleetEngine, window_signature
+from repro.cluster.fleet import (
+    FleetEngine,
+    NodeArrays,
+    job_class_index,
+    window_signature,
+)
 from repro.errors import ConfigurationError
-from repro.workloads.suite import PAPER_CLASSES
 
 __all__ = [
     "N_NODE_FEATURES",
     "N_GLOBAL_FEATURES",
     "CORUN_SPEED",
     "job_class_index",
-    "node_backlog_seconds",
     "node_finish_estimate",
     "PlacementObservation",
 ]
@@ -53,35 +58,21 @@ _CLIP = 4.0
 CORUN_SPEED = 2.0
 
 
-def job_class_index(benchmark_name: str) -> int:
-    """CI/MI/US -> 0/1/2 (Table IV classes; unknown programs fall back
-    to the unsaturated class)."""
-    return CLASS_RANK.get(PAPER_CLASSES.get(benchmark_name, "US"), 2)
-
-
-def node_backlog_seconds(engine: FleetEngine, index: int) -> float:
-    """Wall-clock estimate of draining node ``index``'s queue: queued
-    solo seconds compressed by the assumed co-run speed."""
-    total = 0.0
-    for job, _ in engine.node_queue(index):
-        total += job.solo_time
-    return total / CORUN_SPEED
-
-
 def node_finish_estimate(engine: FleetEngine, index: int) -> float:
     """When node ``index`` would finish the work already routed to it:
-    its availability horizon plus the queued backlog estimate."""
-    until_free = max(
-        engine.cluster.nodes[index].available_at - engine.now, 0.0
-    )
-    return until_free + node_backlog_seconds(engine, index)
+    its availability horizon plus the queued solo backlog compressed by
+    the assumed co-run speed."""
+    arrays = engine.node_arrays
+    until_free = max(float(arrays.available_at[index]) - engine.now, 0.0)
+    return until_free + float(arrays.solo[index]) / CORUN_SPEED
 
 
 class PlacementObservation:
     """Builds the placement agent's observation from a live engine.
 
-    Pure read: consumes no RNG and mutates neither the engine nor any
-    queue, so observing is bitwise-repeatable at a decision point.
+    Pure read of the engine's :class:`~repro.cluster.fleet.NodeArrays`:
+    consumes no RNG and mutates neither the engine nor any queue, so
+    observing is bitwise-repeatable at a decision point.
     """
 
     def __init__(
@@ -101,53 +92,63 @@ class PlacementObservation:
     def n_inputs(self) -> int:
         return self.n_nodes * N_NODE_FEATURES + N_GLOBAL_FEATURES
 
+    def _arrays(self, engine: FleetEngine) -> NodeArrays:
+        fleet = len(engine.cluster.nodes)
+        if fleet != self.n_nodes:
+            raise ConfigurationError(
+                f"observation is built for {self.n_nodes} nodes but the "
+                f"engine has {fleet}"
+            )
+        return engine.node_arrays
+
     # ------------------------------------------------------------------
     def observe(self, engine: FleetEngine, benchmark_name: str) -> np.ndarray:
         """The observation for routing ``benchmark_name`` now."""
-        x = np.zeros(self.n_inputs, dtype=np.float64)
-        now = engine.now
+        arrays = self._arrays(engine)
+        n = self.n_nodes
         w = float(self.window_size)
-        nodes = engine.cluster.nodes
-        total_pending = 0
-        idle_nodes = 0
-        for i in range(self.n_nodes):
-            queue = engine.node_queue(i)
-            depth = len(queue)
-            total_pending += depth
-            base = i * N_NODE_FEATURES
-            x[base] = min(depth / w, _CLIP)
-            if engine.node_is_idle(i):
-                idle_nodes += 1
-            else:
-                x[base + 1] = 1.0
-            until_free = max(nodes[i].available_at - now, 0.0)
-            x[base + 2] = min(until_free / self.time_scale, _CLIP)
-            if depth:
-                hist = [0, 0, 0]
-                for job, _ in queue:
-                    hist[job_class_index(job.benchmark_name)] += 1
-                for c in range(3):
-                    x[base + 3 + c] = hist[c] / depth
-            mix = engine.node_mix(i)
-            running = mix[0] + mix[1] + mix[2]
-            if running:
-                for c in range(3):
-                    x[base + 6 + c] = mix[c] / running
-            x[base + 9] = min(
-                node_backlog_seconds(engine, i) / self.time_scale, _CLIP
-            )
-            # cache-hit likelihood: the window this node would cut next
-            # if the arriving job lands here
-            names = [job.benchmark_name for job, _ in queue]
-            names = names[: self.window_size - 1]
-            names.append(benchmark_name)
-            if engine.window_seen(window_signature(names)):
-                x[base + 10] = 1.0
-        g = self.n_nodes * N_NODE_FEATURES
-        x[g] = min(total_pending / (self.n_nodes * w), _CLIP)
-        x[g + 1] = idle_nodes / self.n_nodes
+        x = np.zeros(self.n_inputs, dtype=np.float64)
+        v = x[: n * N_NODE_FEATURES].reshape(n, N_NODE_FEATURES)
+        depth = arrays.depth
+        v[:, 0] = np.minimum(depth / w, _CLIP)
+        v[:, 1] = arrays.busy
+        until_free = np.maximum(arrays.available_at - engine.now, 0.0)
+        v[:, 2] = np.minimum(until_free / self.time_scale, _CLIP)
+        # an empty row's counts are all zero, so dividing it by 1 keeps
+        # its fractions at exactly 0.0
+        np.divide(arrays.classes, np.maximum(depth, 1)[:, None], out=v[:, 3:6])
+        mix = arrays.mix
+        running = mix[:, 0] + mix[:, 1] + mix[:, 2]
+        np.divide(mix, np.maximum(running, 1)[:, None], out=v[:, 6:9])
+        v[:, 9] = np.minimum(arrays.solo / CORUN_SPEED / self.time_scale, _CLIP)
+        self._cache_column(engine, arrays, benchmark_name, v[:, 10])
+        g = n * N_NODE_FEATURES
+        x[g] = min(int(depth.sum()) / (n * w), _CLIP)
+        x[g + 1] = (n - int(arrays.busy.sum())) / n
         x[g + 2 + job_class_index(benchmark_name)] = 1.0
         return x
+
+    def _cache_column(
+        self, engine: FleetEngine, arrays: NodeArrays, benchmark_name: str,
+        out: np.ndarray,
+    ) -> None:
+        """Cache-hit likelihood per node: whether the window the node
+        would cut next, if the arriving job lands there, has been
+        dispatched before. One lookup for every empty queue, then one
+        per distinct queued prefix."""
+        out[:] = float(engine.window_seen(window_signature((benchmark_name,))))
+        cut = self.window_size - 1
+        seen: dict[tuple[str, ...], float] = {}
+        for i in arrays.nonempty:
+            prefix = tuple(
+                job.benchmark_name for job, _ in islice(engine.node_queue(i), cut)
+            )
+            hit = seen.get(prefix)
+            if hit is None:
+                hit = seen[prefix] = float(
+                    engine.window_seen(window_signature(prefix + (benchmark_name,)))
+                )
+            out[i] = hit
 
     def candidate_mask(self, engine: FleetEngine, k: int) -> np.ndarray:
         """Restrict actions to the ``k`` earliest-finishing nodes
@@ -159,14 +160,15 @@ class PlacementObservation:
         temporally-best nodes gets the job, the dimension where
         workload-mix awareness pays.
         """
+        arrays = self._arrays(engine)
         n = self.n_nodes
         if k <= 0 or k >= n:
             return np.ones(n, dtype=bool)
-        order = sorted(
-            range(n),
-            key=lambda i: (node_finish_estimate(engine, i), i),
+        finish = (
+            np.maximum(arrays.available_at - engine.now, 0.0)
+            + arrays.solo / CORUN_SPEED
         )
         mask = np.zeros(n, dtype=bool)
-        for i in order[:k]:
-            mask[i] = True
+        # a stable sort keeps the lower index first among equal finishes
+        mask[np.argsort(finish, kind="stable")[:k]] = True
         return mask

@@ -68,15 +68,10 @@ class LeastLoadedPlacement(PlacementPolicy):
     name = "least-loaded"
 
     def place(self, engine: FleetEngine, job: Job, now: float) -> int:
-        nodes = engine.cluster.nodes
-        best = 0
-        best_key = None
-        for i in range(len(nodes)):
-            key = (len(engine.node_queue(i)), nodes[i].available_at, i)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = i
-        return best
+        arrays = engine.node_arrays
+        # lexsort is stable: equal (depth, available_at) keys keep the
+        # lower index first
+        return int(np.lexsort((arrays.available_at, arrays.depth))[0])
 
 
 class RoundRobinPlacement(PlacementPolicy):

@@ -102,6 +102,17 @@ class TestInputErrors:
             ["fleet", "--rate", "-2.5"],
             ["fleet", "--rate", "nan"],
             ["fleet", "--rate", "fast"],
+            ["fleet", "--pool-size", "-3"],
+            ["fleet", "--pool-size", "0"],
+            ["fleet", "--placement-episodes", "0"],
+            ["fleet", "--c-max", "0"],
+            ["fleet", "--max-pending", "0"],
+            ["fleet", "--period", "0"],
+            ["fleet", "--period", "inf"],
+            ["fleet", "--peak-rate", "nan"],
+            ["fleet", "--peak-rate", "0"],
+            ["fleet", "--peak-rate", "-1"],
+            ["fleet", "--admit-rate", "0"],
         ],
     )
     def test_bad_counts_rejected_before_training(self, argv, capsys):

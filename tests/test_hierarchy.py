@@ -172,6 +172,19 @@ class TestFeatures:
         assert obs.candidate_mask(engine, 0).all()
         assert obs.candidate_mask(engine, 99).all()
 
+    @pytest.mark.parametrize("observed, fleet", [(3, 6), (5, 3)])
+    def test_fleet_size_mismatch_rejected(self, observed, fleet):
+        engine = placed_engine(n_nodes=fleet)
+        obs = PlacementObservation(n_nodes=observed, window_size=3)
+        for read in (
+            lambda: obs.observe(engine, "stream"),
+            lambda: obs.candidate_mask(engine, 2),
+        ):
+            with pytest.raises(ConfigurationError) as exc:
+                read()
+            assert f"{observed} nodes" in str(exc.value)
+            assert f"engine has {fleet}" in str(exc.value)
+
     def test_job_class_index_range(self):
         for name in POOL:
             assert job_class_index(name) in (0, 1, 2)
