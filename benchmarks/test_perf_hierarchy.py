@@ -1,6 +1,6 @@
 """Two-level placement benchmark (the hierarchy PR's acceptance gate).
 
-Measures :func:`repro.insight.benchgate.measure_hierarchy_bench` — a
+Measures :func:`gate.measure_hierarchy_bench` — a
 :class:`~repro.hierarchy.trainer.JointTrainer` run (node-level DDQN
 offline, placement DQN on prioritized-replay fleet rollouts), then one
 held-out Poisson stream drained at 100 nodes under the trained agent
@@ -18,29 +18,21 @@ Asserts the tentpole contract:
   bitwise-identical to the ``reference_dispatch`` oracle.
 
 Results land in ``BENCH_hierarchy.json`` (override the path with
-``REPRO_BENCH_HIERARCHY_JSON``) — the file ``repro-gpu benchgate
---hierarchy-baseline`` ratchets in CI. Run explicitly with::
+``REPRO_BENCH_HIERARCHY_JSON``) — the file ``benchmarks/gate.py``
+ratchets in CI. Run explicitly with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_perf_hierarchy.py -m perf -s
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
 
-from repro.insight.benchgate import (
-    compare_hierarchy_bench,
-    gate_passes,
-    measure_hierarchy_bench,
-)
+from gate import compare, measure_hierarchy_bench, record
 
 pytestmark = [pytest.mark.perf, pytest.mark.hierarchy]
-
-N_NODES = 100
-EVAL_JOBS = 2000
 
 _BENCH_PATH = os.environ.get(
     "REPRO_BENCH_HIERARCHY_JSON",
@@ -49,17 +41,15 @@ _BENCH_PATH = os.environ.get(
 
 
 def test_two_level_beats_single_level():
-    doc = measure_hierarchy_bench(n_nodes=N_NODES, eval_jobs=EVAL_JOBS)
+    doc = measure_hierarchy_bench()
     h = doc["hierarchy"]
 
-    with open(_BENCH_PATH, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    record(doc, _BENCH_PATH)
 
     agent = h["policies"]["agent"]
     best = h["policies"][h["best_baseline"]]
     print(
-        f"\n=== hierarchy({N_NODES} nodes, {EVAL_JOBS:,} arrivals): "
+        f"\n=== hierarchy({h['n_nodes']} nodes, {h['eval_jobs']:,} arrivals): "
         f"agent makespan {agent['makespan']:,.1f}s vs best baseline "
         f"{h['best_baseline']} {best['makespan']:,.1f}s "
         f"({h['makespan_improvement_vs_best']:.2f}x, "
@@ -69,7 +59,7 @@ def test_two_level_beats_single_level():
 
     # -- every arrival drained under every policy ---------------------
     for policy in h["policies"].values():
-        assert policy["completed"] == EVAL_JOBS
+        assert policy["completed"] == h["eval_jobs"]
 
     # -- the two-level tentpole claims --------------------------------
     assert h["beats_baseline"] is True
@@ -83,6 +73,5 @@ def test_two_level_beats_single_level():
         assert policy["energy_joules"] > 0.0
         assert policy["perf_per_watt"] > 0.0
 
-    # the freshly measured document must pass its own ratchet — the
-    # gate CI applies against the committed baseline
-    assert gate_passes(compare_hierarchy_bench(doc, doc))
+    # every key the gate reads is present and passes against itself
+    assert not any(c.regressed for c in compare("hierarchy", doc, doc, 0.0))

@@ -1,6 +1,6 @@
 """Online-serving fast-path benchmark (the serving PR's acceptance gate).
 
-Measures :func:`repro.insight.benchgate.measure_serving_bench` — a fixed
+Measures :func:`gate.measure_serving_bench` — a fixed
 stream of scheduling windows (distinct contents plus permuted duplicate
 submissions, the fleet steady state) served two ways:
 
@@ -17,24 +17,19 @@ Asserts the tentpole contract:
 * **latency** — p99 per-window ``decision_seconds`` < 1 ms.
 
 Results land in ``BENCH_serving.json`` (override the path with
-``REPRO_BENCH_SERVING_JSON``) — the file ``repro-gpu benchgate
---serving-baseline`` ratchets in CI. Run explicitly with::
+``REPRO_BENCH_SERVING_JSON``) — the file ``benchmarks/gate.py``
+ratchets in CI. Run explicitly with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_perf_serving.py -m perf -s
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
 
-from repro.insight.benchgate import (
-    compare_serving_bench,
-    gate_passes,
-    measure_serving_bench,
-)
+from gate import compare, measure_serving_bench, record
 
 pytestmark = [pytest.mark.perf, pytest.mark.serving]
 
@@ -61,9 +56,7 @@ def test_serving_speedup_identity_and_latency():
     )
     serving = doc["serving"]
 
-    with open(_BENCH_PATH, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    record(doc, _BENCH_PATH)
 
     print(
         f"\n=== serve({N_WINDOWS} windows, {DISTINCT_WINDOWS} distinct, "
@@ -82,6 +75,5 @@ def test_serving_speedup_identity_and_latency():
     assert serving["speedup"] >= SPEEDUP_TARGET
     assert serving["p99_decision_latency_s"] < P99_LATENCY_TARGET_S
 
-    # the freshly measured document must pass its own ratchet — the
-    # gate CI applies against the committed baseline
-    assert gate_passes(compare_serving_bench(doc, doc))
+    # every key the gate reads is present and passes against itself
+    assert not any(c.regressed for c in compare("serving", doc, doc, 0.0))

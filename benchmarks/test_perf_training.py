@@ -1,39 +1,31 @@
 """Offline-training fast-path benchmark (the perf_opt acceptance gate).
 
-Measures the A/B cost of ``OfflineTrainer.train(episodes=50)`` with the
-memoized fast path on vs. off (``corun_cache_disabled``), asserting:
+Measures :func:`gate.measure_training_bench` at 50 episodes x 5 timed
+runs — the A/B cost of ``OfflineTrainer.train`` with the memoized fast
+path on vs off (``corun_cache_disabled``) — and asserts:
 
 * **identity** — both modes produce bitwise-identical
   ``episode_returns``/``episode_throughputs`` for the fixed seed;
 * **speedup** — the steady-state fast path delivers >= 3x episodes/sec
-  (measured after a warm-up pass so the per-window tables and the
-  process-wide co-run cache are past their first-10-episode fill, and
-  best-of-N per mode to ride out scheduler noise);
+  (after a warm-up pass per mode, best-of-N per mode);
 * **hit rate** — the :class:`CoRunCache` serves > 50% of co-run
   evaluations after the first 10 episodes of a converged (greedy)
   rollout, the regime the online phase replays.
 
 Results land in ``BENCH_training.json`` (override the path with
-``REPRO_BENCH_JSON``). Run explicitly with::
+``REPRO_BENCH_JSON``) — the file ``benchmarks/gate.py`` ratchets in
+CI. Run explicitly with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_perf_training.py -m perf -s
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
 
 import pytest
 
-from repro.core.env import CoSchedulingEnv
-from repro.core.trainer import OfflineTrainer
-from repro.perfmodel.cache import (
-    corun_cache,
-    corun_cache_disabled,
-    reset_corun_cache,
-)
+from gate import measure_training_bench, record
 
 pytestmark = pytest.mark.perf
 
@@ -47,122 +39,20 @@ _BENCH_PATH = os.environ.get(
     os.path.join(os.path.dirname(__file__), "..", "BENCH_training.json"),
 )
 
-_RESULTS: dict = {}
 
-
-def _write_results() -> None:
-    with open(_BENCH_PATH, "w") as fh:
-        json.dump(_RESULTS, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-@pytest.fixture(scope="module")
-def repository():
-    return OfflineTrainer().build_repository()
-
-
-def test_fastpath_speedup_and_identity(repository):
-    tr_on = OfflineTrainer()
-    tr_off = OfflineTrainer()
-
-    # Warm-up pass per mode: fills the co-run cache / window tables for
-    # the fast path and pages in the shared NN/simulation code for both.
-    with corun_cache_disabled():
-        tr_off.train(episodes=EPISODES, repository=repository)
-    reset_corun_cache()
-    tr_on.train(episodes=EPISODES, repository=repository)
-
-    off_times, on_times = [], []
-    result_off = result_on = None
-    for _ in range(TIMED_RUNS):
-        with corun_cache_disabled():
-            t0 = time.perf_counter()
-            result_off = tr_off.train(episodes=EPISODES, repository=repository)
-            off_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        result_on = tr_on.train(episodes=EPISODES, repository=repository)
-        on_times.append(time.perf_counter() - t0)
+def test_fastpath_speedup_identity_and_hit_rate():
+    doc = measure_training_bench(EPISODES, TIMED_RUNS)
+    record(doc, _BENCH_PATH)
+    speedup, tail = doc["speedup"], doc["hit_rate"]["corun_cache_tail"]
+    print(
+        f"\n=== train({EPISODES}): {speedup['episodes_per_sec_reference']:.0f} -> "
+        f"{speedup['episodes_per_sec_fastpath']:.0f} eps/s "
+        f"({speedup['speedup']:.2f}x), CoRunCache tail hit rate "
+        f"{tail['hit_rate']:.1%} ({tail['hits']}/{tail['hits'] + tail['misses']}) ==="
+    )
 
     # -- identity: the fast path must not change a single float --------
-    assert result_on.episode_returns == result_off.episode_returns
-    assert result_on.episode_throughputs == result_off.episode_throughputs
-
-    best_off, best_on = min(off_times), min(on_times)
-    speedup = best_off / best_on
-    eps_off = EPISODES / best_off
-    eps_on = EPISODES / best_on
-
-    # co-run evaluations served per second on the fast path: direct
-    # cache lookups plus whole decisions replayed from the step memo
-    # (each of which stands in for one group evaluation)
-    corun = result_on.cache_stats["corun"]
-    decisions = result_on.cache_stats["decisions"]
-    evals = corun.lookups + decisions.hits
-
-    _RESULTS["speedup"] = {
-        "episodes": EPISODES,
-        "timed_runs": TIMED_RUNS,
-        "off_times_s": off_times,
-        "on_times_s": on_times,
-        "episodes_per_sec_reference": eps_off,
-        "episodes_per_sec_fastpath": eps_on,
-        "speedup": speedup,
-        "corun_evals_per_sec_fastpath": evals / best_on,
-        "corun_cache": corun.to_dict(),
-        "decision_memo": decisions.to_dict(),
-        "identical_returns": True,
-    }
-    _write_results()
-    print(
-        f"\n=== train({EPISODES}): {eps_off:.0f} -> {eps_on:.0f} eps/s "
-        f"({speedup:.2f}x), {evals / best_on:,.0f} corun evals/s ==="
-    )
-    assert speedup >= SPEEDUP_TARGET
-
-
-def test_corun_cache_hit_rate_after_first_10_episodes(repository):
-    reset_corun_cache()
-    trainer = OfflineTrainer()
-    result = trainer.train(episodes=EPISODES, repository=repository)
-    agent = result.agent
-    agent.freeze()  # greedy: the converged regime the cache targets
-
-    # A dedicated env with the step-decision memo off, so *every* group
-    # evaluation reaches the CoRunCache and the measured rate is the
-    # cache's own, not the residue the memo leaves behind.
-    env = CoSchedulingEnv(
-        windows=trainer._windows,
-        repository=repository,
-        catalog=trainer.catalog,
-        window_size=trainer.window_size,
-        reward_config=trainer.reward_config,
-        seed=trainer.seed,
-        binding=trainer.binding,
-        memoize_decisions=False,
-    )
-    reset_corun_cache()
-    snapshot = None
-    for episode in range(EPISODES):
-        if episode == 10:
-            snapshot = corun_cache().stats
-        obs, info = env.reset()
-        done = False
-        while not done:
-            action = agent.act(obs, info["action_mask"])
-            obs, _, terminated, truncated, info = env.step(action)
-            done = terminated or truncated
-
-    tail = corun_cache().stats.delta(snapshot)
-    _RESULTS["hit_rate"] = {
-        "episodes": EPISODES,
-        "measured_after_episode": 10,
-        "policy": "greedy",
-        "corun_cache_tail": tail.to_dict(),
-    }
-    _write_results()
-    print(
-        f"\n=== CoRunCache hit rate after first 10 episodes: "
-        f"{tail.hit_rate:.1%} ({tail.hits}/{tail.lookups}) ==="
-    )
-    assert tail.lookups > 0
-    assert tail.hit_rate > HIT_RATE_TARGET
+    assert speedup["identical_returns"] is True
+    assert speedup["speedup"] >= SPEEDUP_TARGET
+    assert tail["hits"] + tail["misses"] > 0
+    assert tail["hit_rate"] > HIT_RATE_TARGET

@@ -26,9 +26,6 @@ Subcommands cover the pipeline stages:
   through the event engine; ``--placement`` picks the cluster-level
   router — the trained two-level ``agent`` or a classic baseline —
   and the report includes energy and fairness accounting;
-* ``benchgate`` — diff a fresh training benchmark against the
-  committed ``BENCH_training.json`` with tolerance bands; exits
-  non-zero on regression (the CI perf gate);
 * ``statcheck`` — run the repo's determinism-invariant linter
   (DESIGN.md §11) over the configured paths; exits non-zero on any
   finding not grandfathered in the baseline (the CI static gate).
@@ -799,118 +796,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_benchgate(args: argparse.Namespace) -> int:
-    from repro.insight import benchgate as bg
-
-    baseline = bg.load_bench(args.baseline)
-    if args.candidate:
-        candidate = bg.load_bench(args.candidate)
-    elif args.measure:
-        print(
-            f"measuring a fresh training benchmark "
-            f"({args.episodes} episodes x {args.timed_runs} timed runs) ..."
-        )
-        candidate = bg.measure_training_bench(
-            episodes=args.episodes, timed_runs=args.timed_runs
-        )
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(candidate, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote measured candidate to {args.out}")
-    else:
-        print("benchgate needs --candidate PATH or --measure")
-        return 2
-
-    checks = bg.compare_bench(baseline, candidate, tolerance=args.tolerance)
-    print(bg.format_checks(checks))
-
-    serving_checks = []
-    if args.serving_baseline:
-        serving_baseline = bg.load_bench(args.serving_baseline)
-        if args.serving_candidate:
-            serving_candidate = bg.load_bench(args.serving_candidate)
-        else:
-            print("measuring a fresh serving benchmark ...")
-            serving_candidate = bg.measure_serving_bench()
-            if args.serving_out:
-                with open(args.serving_out, "w") as fh:
-                    json.dump(serving_candidate, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                print(f"wrote measured serving candidate to {args.serving_out}")
-        serving_checks = bg.compare_serving_bench(
-            serving_baseline, serving_candidate, tolerance=args.tolerance
-        )
-        print(bg.format_checks(serving_checks))
-
-    fleet_checks = []
-    if args.fleet_baseline:
-        fleet_baseline = bg.load_bench(args.fleet_baseline)
-        if args.fleet_candidate:
-            fleet_candidate = bg.load_bench(args.fleet_candidate)
-        else:
-            print("measuring a fresh fleet benchmark ...")
-            fleet_candidate = bg.measure_fleet_bench()
-            if args.fleet_out:
-                with open(args.fleet_out, "w") as fh:
-                    json.dump(fleet_candidate, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                print(f"wrote measured fleet candidate to {args.fleet_out}")
-        fleet_checks = bg.compare_fleet_bench(
-            fleet_baseline, fleet_candidate, tolerance=args.tolerance
-        )
-        print(bg.format_checks(fleet_checks))
-
-    hierarchy_checks = []
-    if args.hierarchy_baseline:
-        hierarchy_baseline = bg.load_bench(args.hierarchy_baseline)
-        if args.hierarchy_candidate:
-            hierarchy_candidate = bg.load_bench(args.hierarchy_candidate)
-        else:
-            print("measuring a fresh hierarchy benchmark ...")
-            hierarchy_candidate = bg.measure_hierarchy_bench()
-            if args.hierarchy_out:
-                with open(args.hierarchy_out, "w") as fh:
-                    json.dump(hierarchy_candidate, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                print(
-                    "wrote measured hierarchy candidate to "
-                    f"{args.hierarchy_out}"
-                )
-        hierarchy_checks = bg.compare_hierarchy_bench(
-            hierarchy_baseline, hierarchy_candidate, tolerance=args.tolerance
-        )
-        print(bg.format_checks(hierarchy_checks))
-
-    overhead_checks = []
-    if args.overhead:
-        print("measuring telemetry overhead (off vs telemetry vs full) ...")
-        overhead_doc = bg.measure_overhead_bench(
-            n_jobs=args.overhead_jobs, timed_runs=args.overhead_runs
-        )
-        if args.overhead_out:
-            with open(args.overhead_out, "w") as fh:
-                json.dump(overhead_doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote measured overhead document to {args.overhead_out}")
-        overhead_checks = bg.compare_overhead_bench(
-            overhead_doc, budget=args.overhead_budget
-        )
-        print(bg.format_checks(overhead_checks))
-
-    if (
-        bg.gate_passes(checks)
-        and bg.gate_passes(serving_checks)
-        and bg.gate_passes(fleet_checks)
-        and bg.gate_passes(hierarchy_checks)
-        and bg.gate_passes(overhead_checks)
-    ):
-        print("bench gate: PASS")
-        return 0
-    print("bench gate: REGRESSED")
-    return 1
-
-
 def _cmd_statcheck(args: argparse.Namespace) -> int:
     from repro.statcheck import (
         StatcheckError,
@@ -1181,67 +1066,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fail-on-burn", action="store_true",
                    help="exit 1 if the burn-rate monitor fires (CI gating)")
     p.set_defaults(fn=_cmd_top)
-
-    p = sub.add_parser(
-        "benchgate",
-        help="diff a training benchmark against the committed baseline "
-             "and fail on regression",
-    )
-    p.add_argument("--baseline", default="BENCH_training.json",
-                   help="committed baseline JSON "
-                        "(default: BENCH_training.json)")
-    p.add_argument("--candidate", metavar="PATH",
-                   help="candidate benchmark JSON to compare")
-    p.add_argument("--measure", action="store_true",
-                   help="measure a fresh candidate in-process instead of "
-                        "reading one")
-    p.add_argument("--episodes", type=int, default=30,
-                   help="episodes per measured run (with --measure)")
-    p.add_argument("--timed-runs", type=int, default=2,
-                   help="timed repetitions, best-of (with --measure)")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="allowed fractional drop per ratio check "
-                        "(default 0.15)")
-    p.add_argument("--out", metavar="PATH",
-                   help="write the measured candidate JSON here")
-    p.add_argument("--serving-baseline", metavar="PATH",
-                   help="also gate the serving benchmark against this "
-                        "baseline (e.g. BENCH_serving.json)")
-    p.add_argument("--serving-candidate", metavar="PATH",
-                   help="serving candidate JSON to compare (default: "
-                        "measure a fresh one in-process)")
-    p.add_argument("--serving-out", metavar="PATH",
-                   help="write the measured serving candidate JSON here")
-    p.add_argument("--fleet-baseline", metavar="PATH",
-                   help="also gate the fleet benchmark against this "
-                        "baseline (e.g. BENCH_fleet.json)")
-    p.add_argument("--fleet-candidate", metavar="PATH",
-                   help="fleet candidate JSON to compare (default: "
-                        "measure a fresh one in-process)")
-    p.add_argument("--fleet-out", metavar="PATH",
-                   help="write the measured fleet candidate JSON here")
-    p.add_argument("--hierarchy-baseline", metavar="PATH",
-                   help="also gate the two-level placement benchmark "
-                        "against this baseline (e.g. BENCH_hierarchy.json)")
-    p.add_argument("--hierarchy-candidate", metavar="PATH",
-                   help="hierarchy candidate JSON to compare (default: "
-                        "measure a fresh one in-process)")
-    p.add_argument("--hierarchy-out", metavar="PATH",
-                   help="write the measured hierarchy candidate JSON here")
-    p.add_argument("--overhead", action="store_true",
-                   help="also measure the telemetry-overhead benchmark "
-                        "and gate the telemetry-plane throughput ratio "
-                        "against --overhead-budget")
-    p.add_argument("--overhead-budget", type=float, default=0.85,
-                   help="minimum telemetry-on / telemetry-off fleet "
-                        "throughput ratio (default: 0.85)")
-    p.add_argument("--overhead-jobs", type=int, default=3000,
-                   help="fleet drain size for the overhead benchmark")
-    p.add_argument("--overhead-runs", type=int, default=5,
-                   help="interleaved timed repetitions, best-of")
-    p.add_argument("--overhead-out", metavar="PATH",
-                   help="write the measured overhead document JSON here")
-    p.set_defaults(fn=_cmd_benchgate)
 
     p = sub.add_parser(
         "statcheck",

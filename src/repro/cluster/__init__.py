@@ -17,9 +17,7 @@ extension:
   scale it to thousands of nodes and millions of jobs;
 * :mod:`repro.cluster.batch` — a Slurm-shaped batch-system facade
   (sbatch/squeue/sinfo/scancel/sacct) over the fleet engine, the
-  integration surface the paper names as future work;
-* :mod:`repro.cluster.reference` — the fault-free per-round dispatch
-  loop, kept as the engine's bitwise identity oracle.
+  integration surface the paper names as future work.
 
 The engine is failure-aware: attach a
 :class:`repro.faults.FaultInjector` and it retries transient device /

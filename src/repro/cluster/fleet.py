@@ -34,7 +34,7 @@ the exact path, minus device state-machine overhead); pass
 ``exact_execution=True`` to drive the full MIG/MPS state machines
 instead. :class:`repro.cluster.batch.BatchSystem` is a Slurm-verb
 facade over this engine. On fault-free runs the dispatch log is
-bitwise-identical to :func:`repro.cluster.reference.reference_dispatch`,
+bitwise-identical to ``reference_dispatch`` in ``tests/oracles/dispatch.py``,
 the original per-round loop kept as the identity oracle.
 
 Open-loop operation adds **admission control**: an
@@ -1107,7 +1107,7 @@ class FleetEngine:
         """Cut one window per ready idle GPU and run the round.
 
         Same policy selection arguments and window cuts as
-        :func:`~repro.cluster.reference.reference_dispatch`, so
+        the ``reference_dispatch`` oracle in ``tests/oracles``, so
         fault-free dispatch logs are bitwise-comparable to it. In a
         ``drain`` round with all arrival sources dry, the last partial
         window dispatches regardless of ``min_batch``.

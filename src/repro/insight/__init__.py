@@ -1,6 +1,6 @@
 """repro.insight — decision-level observability on top of telemetry.
 
-Four pieces (DESIGN.md §10):
+Three pieces (DESIGN.md §10):
 
 * :mod:`repro.insight.records` — the decision flight recorder:
   structured :class:`DecisionRecord`/:class:`WindowRecord` capture for
@@ -17,12 +17,11 @@ Four pieces (DESIGN.md §10):
   sketch, training Q-drift and TD-loss blowup) raising typed
   :class:`Alert`\\ s back into the trace, plus the multi-window
   burn-rate SLO monitor (:func:`scan_burn_rate`) over fleet rollup
-  frames;
-* :mod:`repro.insight.benchgate` — the bench-regression gate diffing a
-  fresh ``BENCH_training.json`` against the committed baseline with
-  tolerance bands (the ``repro-gpu benchgate`` CI job), plus the
-  self-contained telemetry-overhead gate
-  (:func:`measure_overhead_bench`).
+  frames.
+
+The benchmark ratchets that diff fresh measurements against the
+committed ``BENCH_*.json`` files live outside the library, in
+``benchmarks/gate.py``.
 
 Everything here is observer-only: recording consumes no randomness and
 mutates no scheduler state, so instrumented runs stay bitwise-identical
@@ -36,17 +35,6 @@ from repro.insight.alerts import (
     BurnRateConfig,
     scan_burn_rate,
     write_alerts_jsonl,
-)
-from repro.insight.benchgate import (
-    OVERHEAD_BUDGET,
-    GateCheck,
-    compare_bench,
-    compare_overhead_bench,
-    format_checks,
-    gate_passes,
-    load_bench,
-    measure_overhead_bench,
-    measure_training_bench,
 )
 from repro.insight.records import (
     AlternativeAction,
@@ -72,15 +60,6 @@ __all__ = [
     "BurnRateConfig",
     "scan_burn_rate",
     "write_alerts_jsonl",
-    "GateCheck",
-    "OVERHEAD_BUDGET",
-    "compare_bench",
-    "compare_overhead_bench",
-    "format_checks",
-    "gate_passes",
-    "load_bench",
-    "measure_overhead_bench",
-    "measure_training_bench",
     "AlternativeAction",
     "DecisionRecord",
     "DecisionRecorder",

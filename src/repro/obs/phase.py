@@ -8,9 +8,10 @@ injectable (:data:`repro.clock.perf_clock` by default, a
 itself obeys the determinism contract: simulated results never depend
 on it, and tests pin its arithmetic with a counted clock.
 
-The measured split is what the benchgate telemetry-overhead budget is
-stated against: telemetry-on fleet throughput must stay within a fixed
-ratio of telemetry-off (DESIGN.md §15).
+The measured split is what the telemetry-overhead budget in
+``benchmarks/gate.py`` is stated against: telemetry-on fleet
+throughput must stay within a fixed ratio of telemetry-off (DESIGN.md
+§15).
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ behind (``frames.jsonl`` rollups, ``lifecycle.jsonl`` per-job records,
 ``fleet.json`` summary when present) and render a terminal dashboard
 string. No printing here (HYG001) — the CLI prints the returned text —
 and every loader zero-fills, so ``top`` on an empty or partial run
-directory renders a placeholder instead of raising.
+directory renders a placeholder instead of raising. A directory that
+does not exist is an error, so a mistyped path cannot pass for a
+healthy run.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 
+from repro.errors import ConfigurationError
 from repro.obs.rollup import frames_series, read_frames_jsonl
 from repro.obs.trace import read_lifecycle_jsonl, summarize_lifecycle
 
@@ -45,6 +48,8 @@ def sparkline(values, width: int = 48) -> str:
 
 def load_run(out_dir: str) -> dict:
     """Gather the observability artifacts under ``out_dir`` (zero-fill)."""
+    if not os.path.isdir(out_dir):
+        raise ConfigurationError(f"no run directory at {out_dir}")
     frames = read_frames_jsonl(os.path.join(out_dir, "frames.jsonl"))
     lifecycle = read_lifecycle_jsonl(os.path.join(out_dir, "lifecycle.jsonl"))
     summary: dict = {}

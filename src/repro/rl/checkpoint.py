@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -144,9 +145,14 @@ def load_agent(
         raise
     except FileNotFoundError:
         raise
-    except (zipfile.BadZipFile, OSError, ValueError, KeyError, EOFError) as exc:
-        # numpy surfaces truncated/garbage archives through several
-        # exception types; normalize them all to one clear error
+    except (
+        zipfile.BadZipFile, zlib.error, OSError, ValueError, KeyError,
+        EOFError, RuntimeError,
+    ) as exc:
+        # numpy and zipfile surface truncated/garbage archives through
+        # several exception types (a flipped header bit can name an
+        # unsupported compression method or the encryption flag, both
+        # RuntimeErrors); normalize them all to one clear error
         raise ConfigurationError(
             f"checkpoint {path} is truncated or corrupt: {exc}"
         ) from exc

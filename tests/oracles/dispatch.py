@@ -1,10 +1,11 @@
 """The fault-free two-level dispatch round, kept as an identity oracle.
 
 :class:`~repro.cluster.fleet.FleetEngine` is the only production
-dispatch loop; tests and ``benchgate`` check its fault-free dispatch
-log bitwise against the plain per-round loop it grew out of: each
-round takes every GPU that frees at the earliest time, cuts one FIFO
-window per GPU in node order, and schedules the round as one batch.
+dispatch loop; the tests and ``benchmarks/gate.py`` check its
+fault-free dispatch log bitwise against the plain per-round loop it
+grew out of: each round takes every GPU that frees at the earliest
+time, cuts one FIFO window per GPU in node order, and schedules the
+round as one batch.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import pytest
 from repro.errors import (
     ConfigurationError,
     ReconfigFaultError,
+    ReproError,
     SchedulingError,
     TransientDeviceError,
 )
@@ -454,6 +455,91 @@ class TestCheckpointHardening:
         wrong = DQNConfig(n_inputs=6, n_actions=4, hidden=(16, 8), gamma=0.5)
         with pytest.raises(ConfigurationError, match="gamma"):
             load_agent(path, config=wrong)
+
+
+def _corruptions(data: bytes, stride: int):
+    """Truncations and single-bit flips (bits 0 and 7) at every
+    ``stride``-th byte of a zip archive, and flips at every byte of its
+    first central-directory record, whose flag and compression-method
+    fields zipfile trusts."""
+    for n in range(0, len(data), stride):
+        yield data[:n]
+    directory = data.index(b"PK\x01\x02")
+    offsets = sorted({*range(0, len(data), stride), *range(directory, directory + 46)})
+    for i in offsets:
+        for bit in (0, 7):
+            flipped = bytearray(data)
+            flipped[i] ^= 1 << bit
+            yield bytes(flipped)
+
+
+def _tensors(agent) -> list:
+    return agent.online.state_dict() + agent.target.state_dict()
+
+
+def _same_weights(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(
+        x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+        for x, y in zip(a, b)
+    )
+
+
+class TestCheckpointFuzz:
+    """A corrupt checkpoint either raises a ``ReproError`` or loads the
+    original weights; no other exception and no silently changed
+    weights."""
+
+    @staticmethod
+    def agent(n_inputs: int):
+        from repro.rl.dqn import DQNConfig, DuelingDoubleDQNAgent
+
+        return DuelingDoubleDQNAgent(
+            DQNConfig(n_inputs=n_inputs, n_actions=4, hidden=(16, 8))
+        )
+
+    def test_load_agent(self, tmp_path):
+        from repro.rl.checkpoint import load_agent, save_agent
+
+        path = tmp_path / "agent.npz"
+        agent = self.agent(8)
+        save_agent(agent, path)
+        original, clean = path.read_bytes(), _tensors(agent)
+        outcomes = {"raised": 0, "loaded": 0}
+        for corrupt in _corruptions(original, stride=47):
+            path.write_bytes(corrupt)
+            try:
+                restored = load_agent(path)
+            except ReproError:
+                outcomes["raised"] += 1
+                continue
+            assert _same_weights(_tensors(restored), clean)
+            outcomes["loaded"] += 1
+        assert outcomes["raised"] > outcomes["loaded"] > 0
+
+    def test_load_joint(self, tmp_path):
+        from repro.hierarchy.trainer import (
+            NODE_CHECKPOINT,
+            PLACEMENT_CHECKPOINT,
+            load_joint,
+        )
+        from repro.rl.checkpoint import save_agent
+
+        agents = {PLACEMENT_CHECKPOINT: self.agent(8), NODE_CHECKPOINT: self.agent(6)}
+        for name, agent in agents.items():
+            save_agent(agent, tmp_path / name)
+        originals = {name: (tmp_path / name).read_bytes() for name in agents}
+        for name, original in originals.items():
+            for corrupt in _corruptions(original, stride=151):
+                (tmp_path / name).write_bytes(corrupt)
+                try:
+                    placement, node = load_joint(tmp_path)
+                except ReproError:
+                    continue
+                assert _same_weights(
+                    _tensors(placement), _tensors(agents[PLACEMENT_CHECKPOINT])
+                )
+                assert _same_weights(_tensors(node), _tensors(agents[NODE_CHECKPOINT]))
+            (tmp_path / name).write_bytes(original)
 
 
 class TestCliCluster:

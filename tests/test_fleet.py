@@ -40,7 +40,6 @@ from repro.cluster.fleet import (
 )
 from repro.cluster.node import ClusterState
 from repro.cluster.policy import CoSchedulingPolicy, FcfsPolicy, PolicySelector
-from repro.cluster.reference import reference_dispatch
 from repro.core.actions import ActionCatalog
 from repro.core.optimizer import OnlineOptimizer
 from repro.core.serving import DecisionCache, schedule_fingerprint
@@ -54,6 +53,7 @@ from repro.workloads.arrivals import (
 from repro.workloads.generator import MixCategory, QueueGenerator
 from repro.workloads.jobs import Job, JobQueue
 from repro.workloads.traces import JobTrace, TraceEvent
+from tests.oracles.dispatch import reference_dispatch
 
 pytestmark = pytest.mark.fleet
 

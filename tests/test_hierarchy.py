@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.cluster.fleet import FleetEngine
 from repro.cluster.node import ClusterState
 from repro.cluster.policy import CoSchedulingPolicy, FcfsPolicy, PolicySelector
-from repro.cluster.reference import reference_dispatch
 from repro.core.actions import ActionCatalog
 from repro.core.optimizer import OnlineOptimizer
 from repro.core.serving import DecisionCache, schedule_fingerprint
@@ -55,6 +54,7 @@ from repro.rl.replay import PrioritizedReplayBuffer, ReplayBuffer, SumTree
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.generator import MixCategory, QueueGenerator
 from repro.workloads.jobs import Job
+from tests.oracles.dispatch import reference_dispatch
 
 pytestmark = pytest.mark.hierarchy
 

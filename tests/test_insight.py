@@ -22,6 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from benchmarks import gate
 from repro.cli import main
 from repro.core.actions import ActionCatalog
 from repro.core.optimizer import OnlineDecision, OnlineOptimizer
@@ -33,10 +34,6 @@ from repro.insight import (
     AlertEngine,
     DecisionRecorder,
     RegretAnalyzer,
-    compare_bench,
-    gate_passes,
-    load_bench,
-    measure_training_bench,
     read_decision_log,
     worst_decisions,
     write_decision_log,
@@ -333,61 +330,73 @@ class TestAlerts:
 # ----------------------------------------------------------------------
 # bench-regression gate
 # ----------------------------------------------------------------------
+def _regressed(checks) -> list[str]:
+    return [c.key for c in checks if c.regressed]
+
+
 class TestBenchGate:
+    TOLERANCE = gate.LOCAL_BOUNDS[0]
+
+    @staticmethod
+    def load(path=BASELINE) -> dict:
+        return json.loads(Path(path).read_text())
+
     def test_baseline_passes_against_itself(self):
-        doc = load_bench(BASELINE)
-        checks = compare_bench(doc, doc)
-        assert gate_passes(checks)
-        assert all(not c.regressed for c in checks)
+        doc = self.load()
+        checks = gate.compare("training", doc, doc, self.TOLERANCE)
+        assert len(checks) == 4
+        assert _regressed(checks) == []
 
     def test_twenty_percent_drop_fails(self):
-        doc = load_bench(BASELINE)
-        worse = json.loads(json.dumps(doc))
+        doc = self.load()
+        worse = self.load()
         worse["speedup"]["episodes_per_sec_fastpath"] *= 0.8
-        checks = compare_bench(doc, worse)
-        assert not gate_passes(checks)
-        bad = [c for c in checks if c.regressed]
-        assert [c.key for c in bad] == ["speedup.episodes_per_sec_fastpath"]
+        checks = gate.compare("training", doc, worse, self.TOLERANCE)
+        assert _regressed(checks) == ["speedup.episodes_per_sec_fastpath"]
 
     def test_loose_tolerance_forgives_the_drop(self):
-        doc = load_bench(BASELINE)
-        worse = json.loads(json.dumps(doc))
+        doc = self.load()
+        worse = self.load()
         worse["speedup"]["episodes_per_sec_fastpath"] *= 0.8
-        assert gate_passes(compare_bench(doc, worse, tolerance=0.25))
+        assert _regressed(gate.compare("training", doc, worse, 0.25)) == []
 
     def test_identity_break_fails_at_any_tolerance(self):
-        doc = load_bench(BASELINE)
-        worse = json.loads(json.dumps(doc))
+        doc = self.load()
+        worse = self.load()
         worse["speedup"]["identical_returns"] = False
-        checks = compare_bench(doc, worse, tolerance=10.0)
-        assert not gate_passes(checks)
+        checks = gate.compare("training", doc, worse, 10.0)
+        assert _regressed(checks) == ["speedup.identical_returns"]
 
     def test_missing_key_raises(self):
-        with pytest.raises(ReproError):
-            compare_bench({}, load_bench(BASELINE))
+        with pytest.raises(ValueError, match="missing"):
+            gate.compare("training", {}, self.load(), self.TOLERANCE)
 
     def test_measured_candidate_has_baseline_schema(self):
-        doc = measure_training_bench(episodes=6, timed_runs=1)
-        baseline = load_bench(BASELINE)
+        doc = gate.measure_training_bench(episodes=6, timed_runs=1)
+        baseline = self.load()
         assert set(doc) == set(baseline)
         assert set(doc["speedup"]) == set(baseline["speedup"])
+        assert set(doc["hit_rate"]) == set(baseline["hit_rate"])
         assert doc["speedup"]["identical_returns"] is True
-        # a fresh measurement gates against itself cleanly
-        assert gate_passes(compare_bench(doc, doc))
+        # every key the gate reads is present and passes against itself
+        assert _regressed(gate.compare("training", doc, doc, 0.0)) == []
 
-    def test_cli_exit_codes(self, tmp_path, capsys):
-        base = str(BASELINE)
-        assert main(["benchgate", "--baseline", base,
-                     "--candidate", base]) == 0
-        worse = json.loads(BASELINE.read_text())
-        worse["speedup"]["episodes_per_sec_fastpath"] *= 0.8
-        worse_path = tmp_path / "worse.json"
-        worse_path.write_text(json.dumps(worse))
-        assert main(["benchgate", "--baseline", base,
-                     "--candidate", str(worse_path)]) == 1
-        assert main(["benchgate", "--baseline", base]) == 2
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out and "PASS" in out
+    def test_every_contract_row_resolves_in_its_committed_baseline(self):
+        committed = {
+            name: self.load(REPO_ROOT / f"BENCH_{name}.json")
+            for name in ("training", "serving", "fleet", "hierarchy")
+        }
+        budget = gate.LOCAL_BOUNDS[1]
+        fresh = {**committed, "overhead": gate.overhead_baseline(budget)}
+        checks = gate.judge(fresh, self.TOLERANCE, budget)
+        assert [(c.document, c.key) for c in checks] == [
+            (document, key) for document, key, _ in gate.CONTRACT
+        ]
+        assert _regressed(checks) == []
+        fresh["fleet"] = self.load(REPO_ROOT / "BENCH_fleet.json")
+        fresh["fleet"]["fleet"]["identical_schedules"] = False
+        checks = gate.judge(fresh, self.TOLERANCE, budget)
+        assert _regressed(checks) == ["fleet.identical_schedules"]
 
 
 # ----------------------------------------------------------------------

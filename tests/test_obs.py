@@ -22,10 +22,10 @@ Four layers of coverage:
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
+from benchmarks import gate
 from repro.clock import CountingClock
 from repro.cluster.fleet import BoundedQueue, FleetEngine
 from repro.cluster.node import ClusterState
@@ -42,7 +42,6 @@ from repro.insight import (
     BurnRateConfig,
     scan_burn_rate,
 )
-from repro.insight.benchgate import compare_overhead_bench, gate_passes
 from repro.obs import (
     PHASES,
     LifecycleTracer,
@@ -674,32 +673,29 @@ class TestBurnRate:
 # the overhead gate's verdict logic
 # ----------------------------------------------------------------------
 class TestOverheadGate:
-    def test_within_budget_passes(self):
-        doc = {"overhead": {"throughput_ratio": 0.91, "identical_stats": True}}
-        checks = compare_overhead_bench(doc, budget=0.85)
-        assert gate_passes(checks)
-        keys = {c.key for c in checks}
-        assert keys == {
+    @staticmethod
+    def regressed(ratio: float, identical: bool) -> list[str]:
+        doc = {"overhead": {"throughput_ratio": ratio, "identical_stats": identical}}
+        checks = gate.compare("overhead", gate.overhead_baseline(0.85), doc, 0.0)
+        assert [c.key for c in checks] == [
             "overhead.throughput_ratio",
             "overhead.identical_stats",
-        }
+        ]
+        return [c.key for c in checks if c.regressed]
+
+    def test_within_budget_passes(self):
+        assert self.regressed(0.91, True) == []
+        assert self.regressed(0.85, True) == []
 
     def test_slow_telemetry_or_perturbed_stats_fail(self):
-        slow = {"overhead": {"throughput_ratio": 0.5, "identical_stats": True}}
-        assert not gate_passes(compare_overhead_bench(slow, budget=0.85))
-        perturbed = {
-            "overhead": {"throughput_ratio": 0.99, "identical_stats": False}
-        }
-        assert not gate_passes(compare_overhead_bench(perturbed, budget=0.85))
+        assert self.regressed(0.5, True) == ["overhead.throughput_ratio"]
+        assert self.regressed(0.99, False) == ["overhead.identical_stats"]
 
     def test_budget_validation(self):
-        doc = {"overhead": {"throughput_ratio": 0.9, "identical_stats": True}}
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError):
-            compare_overhead_bench(doc, budget=0.0)
-        with pytest.raises(ReproError):
-            compare_overhead_bench(doc, budget=1.5)
+        with pytest.raises(ValueError, match="budget"):
+            gate.overhead_baseline(0.0)
+        with pytest.raises(ValueError, match="budget"):
+            gate.overhead_baseline(1.5)
 
 
 # ----------------------------------------------------------------------
@@ -775,10 +771,6 @@ class TestCli:
         assert args.dir == "out"
         assert args.slo == pytest.approx(7200.0)
         assert not args.fail_on_burn
-        args = build_parser().parse_args(
-            ["benchgate", "--overhead", "--overhead-budget", "0.8"]
-        )
-        assert args.overhead and args.overhead_budget == pytest.approx(0.8)
 
     def test_top_on_an_empty_directory(self, tmp_path, capsys):
         from repro.cli import main
@@ -787,6 +779,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "repro-gpu top" in out
         assert "SLO burn rate: ok" in out
+
+    def test_top_on_a_missing_path_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        missing = tmp_path / "typo"
+        assert main(["top", str(missing), "--fail-on-burn"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"repro-gpu top: error: no run directory at {missing}"
+        ]
 
     def test_fleet_then_top_round_trip(self, tmp_path, capsys):
         from repro.cli import main

@@ -18,6 +18,7 @@ Pins the three contracts the sub-millisecond serving path stands on:
 import numpy as np
 import pytest
 
+from benchmarks import gate
 from repro.clock import CountingClock
 from repro.errors import SchedulingError
 from repro.cluster.batch import BatchSystem, JobState
@@ -35,7 +36,6 @@ from repro.core.serving import (
     window_signature,
 )
 from repro.gpu.device import SimulatedGpu
-from repro.insight import benchgate as bg
 from repro.perfmodel.cache import CoRunCache
 from repro.profiling.profiler import NsightProfiler
 from repro.rl.dqn import DQNConfig, DuelingDoubleDQNAgent
@@ -477,28 +477,27 @@ class TestServingGate:
         doc["serving"].update(overrides)
         return doc
 
+    @classmethod
+    def regressed(cls, candidate, tolerance=0.5) -> list[str]:
+        checks = gate.compare("serving", cls.BASE, candidate, tolerance)
+        return [c.key for c in checks if c.regressed]
+
     def test_passes_on_equal_docs(self):
-        checks = bg.compare_serving_bench(self.BASE, self.BASE)
-        assert bg.gate_passes(checks)
+        assert self.regressed(self.BASE, gate.LOCAL_BOUNDS[0]) == []
 
     def test_latency_is_lower_is_better(self):
         slower = self._variant(p99_decision_latency_s=5e-3)
-        assert not bg.gate_passes(
-            bg.compare_serving_bench(self.BASE, slower, tolerance=0.5)
-        )
+        assert self.regressed(slower) == ["serving.p99_decision_latency_s"]
         faster = self._variant(p99_decision_latency_s=5e-5)
-        assert bg.gate_passes(
-            bg.compare_serving_bench(self.BASE, faster, tolerance=0.5)
-        )
+        assert self.regressed(faster) == []
 
     def test_throughput_drop_regresses(self):
         worse = self._variant(decisions_per_sec_batched=100.0, speedup=2.0)
-        assert not bg.gate_passes(
-            bg.compare_serving_bench(self.BASE, worse, tolerance=0.5)
-        )
+        assert self.regressed(worse) == [
+            "serving.decisions_per_sec_batched",
+            "serving.speedup",
+        ]
 
     def test_identity_loss_regresses(self):
         broken = self._variant(identical_schedules=False)
-        assert not bg.gate_passes(
-            bg.compare_serving_bench(self.BASE, broken, tolerance=0.5)
-        )
+        assert self.regressed(broken) == ["serving.identical_schedules"]
