@@ -6,8 +6,11 @@ exactly such bindings from profile data, so:
 
 * :func:`assign_optimal` — the default (used by the environment and the
   online optimizer): the exact total-``r_i`` maximizer, solved as a
-  rectangular linear-sum-assignment problem over the (job, slot) reward
-  matrix — O(n^3), which both *selects* the jobs and *binds* them.
+  rectangular linear-sum-assignment problem (LSAP) over the (job, slot)
+  reward matrix — O(n^3), which both *selects* the jobs and *binds*
+  them. The solver is an in-tree port of SciPy's
+  ``linear_sum_assignment`` (Crouse's shortest augmenting path) that
+  returns SciPy's exact pick, ties included.
 * :func:`assign_greedy` — a cheap heuristic: walk the template's slots
   from the largest compute share down, binding the still-unassigned job
   with the highest ``r_i`` for that slot. Kept for ablation.
@@ -16,14 +19,17 @@ exactly such bindings from profile data, so:
   pins the optimality of :func:`assign_optimal` in tests.
 
 All return indices into the candidate list, slot-ordered.
+:func:`optimal_slot_binding` is :func:`assign_optimal`'s binding from
+precomputed per-slot reward rows, for the environment's window tables.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.errors import SchedulingError
 from repro.core.rewards import WindowStats, intermediate_reward
@@ -33,6 +39,7 @@ from repro.profiling.profiler import JobProfile
 
 __all__ = [
     "assign_optimal",
+    "optimal_slot_binding",
     "assign_conflict_aware",
     "assign_greedy",
     "assign_exhaustive",
@@ -98,22 +105,118 @@ def _check(tree: PartitionTree, n_candidates: int) -> list[Slot]:
     return slots
 
 
+def _augmenting_paths(cost: Sequence[Sequence[float]], nr: int, nc: int) -> list[int]:
+    """Column of each row in the min-cost assignment of ``cost``
+    (``nr <= nc`` rows of ``nc`` finite floats).
+
+    A port of SciPy's ``rectangular_lsap`` (Crouse, "On implementing 2D
+    rectangular assignment algorithms", 2016): one shortest augmenting
+    path per row, Dijkstra over reduced costs ``min_val + c - u[i] -
+    v[j]`` summed in that order, the unvisited columns kept in SciPy's
+    reverse-filled, swap-removed ``remaining`` list, and an equal-cost
+    tie going to an unassigned column. Every float operation is SciPy's,
+    in SciPy's order, so tied optima resolve to SciPy's pick.
+    """
+    inf = math.inf
+    u = [0.0] * nr
+    v = [0.0] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    path = [0] * nc
+    reverse = list(range(nc - 1, -1, -1))
+    for cur_row in range(nr):
+        spc = [inf] * nc
+        remaining = reverse.copy()
+        rows_seen: list[int] = []  # SR without cur_row
+        cols_seen: list[int] = []  # SC
+        min_val = 0.0
+        i = cur_row
+        while True:
+            row = cost[i]
+            ui = u[i]
+            lowest = inf
+            index = -1
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                else:
+                    r = spc[j]
+                if r < lowest or (r == lowest and row4col[j] == -1):
+                    lowest = r
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            cols_seen.append(j)
+            last = remaining.pop()
+            if index < len(remaining):
+                remaining[index] = last
+            i = row4col[j]
+            if i == -1:
+                break
+            rows_seen.append(i)
+        # update the duals, then flip the path ending in sink column j
+        u[cur_row] += min_val
+        for i in rows_seen:
+            u[i] += min_val - spc[col4row[i]]
+        for c in cols_seen:
+            v[c] -= min_val - spc[c]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
+
+
+def optimal_slot_binding(
+    neg_by_slot: list[list[float]], candidates: list[int]
+) -> list[int]:
+    """:func:`assign_optimal`'s binding from negated reward rows.
+
+    ``neg_by_slot[s][i]`` is ``-r_i`` of window job ``i`` in slot ``s``
+    over the whole window; ``candidates`` are the ascending window
+    indices still available (at least one per slot). Returns positions
+    into ``candidates`` in slot order: SciPy's
+    ``linear_sum_assignment(maximize=True)`` pick on the candidates'
+    ``(job, slot)`` reward matrix. As in SciPy, a tall matrix (more
+    candidates than slots) is solved transposed, slots as the rows, and
+    a square one is solved with jobs as the rows; the orientation
+    decides which tied optimum comes out.
+    """
+    n_slots = len(neg_by_slot)
+    n = len(candidates)
+    if n > n_slots:
+        if n == len(neg_by_slot[0]):
+            cost = neg_by_slot
+        else:
+            cost = [[row[i] for i in candidates] for row in neg_by_slot]
+        return _augmenting_paths(cost, n_slots, n)
+    by_job = _augmenting_paths(
+        [[row[i] for row in neg_by_slot] for i in candidates], n, n_slots
+    )
+    binding = [0] * n_slots
+    for j, s in enumerate(by_job):
+        binding[s] = j
+    return binding
+
+
 def assign_optimal(
     tree: PartitionTree,
     profiles: list[JobProfile],
     stats: WindowStats | None = None,
 ) -> list[int]:
-    """Exact max-total-``r_i`` selection + binding via the Hungarian
-    algorithm on the rectangular (job, slot) reward matrix."""
+    """Exact max-total-``r_i`` selection + binding: the LSAP on the
+    rectangular (job, slot) reward matrix."""
     slots = _check(tree, len(profiles))
     if stats is None:
         stats = WindowStats.from_profiles(profiles)
     reward = reward_matrix(profiles, slots, stats)
-    rows, cols = linear_sum_assignment(reward, maximize=True)
-    binding = [0] * len(slots)
-    for j, s in zip(rows, cols):
-        binding[s] = int(j)
-    return binding
+    if not np.isfinite(reward).all():
+        raise SchedulingError("reward matrix has a non-finite entry")
+    return optimal_slot_binding((-reward.T).tolist(), list(range(len(profiles))))
 
 
 def _binding_score(

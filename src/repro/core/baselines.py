@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import itertools
 
-import networkx as nx
-
 from repro.errors import SchedulingError
 from repro.core.assignment import iter_slot_assignments
 from repro.core.predictor import AnalyticPredictor
@@ -149,6 +147,8 @@ class MigOnlyScheduler(_PredictiveScheduler):
     def schedule(self, window: list[Job]) -> Schedule:
         if not window:
             raise SchedulingError("empty window")
+        import networkx as nx  # the only user; kept off ``import repro``
+
         n = len(window)
         g = nx.Graph()
         g.add_nodes_from(range(n))

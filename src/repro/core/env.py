@@ -48,7 +48,6 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.errors import SchedulingError
 from repro.core.actions import ActionCatalog, TemplateFacts
@@ -56,6 +55,7 @@ from repro.core.assignment import (
     CONFLICT_WEIGHT,
     assign_conflict_aware,
     assign_optimal,
+    optimal_slot_binding,
 )
 from repro.core.predictor import AnalyticPredictor
 from repro.core.features import FeatureExtractor
@@ -83,12 +83,13 @@ class _WindowContext:
     Holds the window's profiles/stats/encoding plus profile-derived
     scalars (normalized memory demand, squared duration ratio) and
     lazily-built reward tables: for each distinct slot shape, the
-    intermediate reward of every window job, evaluated exactly once.
-    The tables' values are the same floats the reference path computes
-    — only the bookkeeping around them is cheaper. ``bind_memo`` maps
-    ``(availability, action, binding mode)`` to the slot-ordered window
-    indices the fast binder chose (only the indices, so the memo stays
-    small on long training runs).
+    intermediate reward of every window job, evaluated exactly once,
+    and its negation (the LSAP cost row). The tables are plain lists of
+    the same floats the reference path computes — only the bookkeeping
+    around them is cheaper. ``bind_memo`` maps ``(availability, action,
+    binding mode)`` to the slot-ordered window indices the fast binder
+    chose (only the indices, so the memo stays small on long training
+    runs).
     """
 
     __slots__ = (
@@ -114,8 +115,12 @@ class _WindowContext:
         self.mem = [p.counters.memory_pct / 100.0 for p in profiles]
         self.dur2 = [(p.solo_time / mean_solo) ** 2 for p in profiles]
         self.pred: list[tuple[float, float, float, float]] | None = None
-        self._rows: dict[tuple[float, float], np.ndarray] = {}
-        self._matrices: dict[int, tuple[np.ndarray, list[list[float]]]] = {}
+        self._rows: dict[
+            tuple[float, float], tuple[list[float], list[float]]
+        ] = {}
+        self._matrices: dict[
+            int, tuple[list[tuple[float, ...]], list[list[float]]]
+        ] = {}
         self.predict_memo: dict[tuple, float] = {}
         self.bind_memo: dict[tuple, tuple[int, ...]] = {}
 
@@ -138,34 +143,36 @@ class _WindowContext:
 
     def matrix(
         self, info: TemplateFacts, action: int
-    ) -> tuple[np.ndarray, list[list[float]]]:
-        """The full-window ``(job, slot)`` reward matrix for a template,
-        as an array (for the Hungarian solver) plus its row lists (for
-        the scalar local search). Keyed by action index — an int hash —
-        with the underlying per-shape reward rows shared across actions,
-        so each distinct (job, shape) reward is evaluated once."""
+    ) -> tuple[list[tuple[float, ...]], list[list[float]]]:
+        """A template's full-window reward tables: the ``(job, slot)``
+        rewards row by job (for the local search and the step rewards)
+        and the negated rewards row by slot (the LSAP costs
+        :func:`~repro.core.assignment.optimal_slot_binding` reads).
+        Keyed by action index — an int hash — with the per-shape rows
+        shared across actions, so each distinct (job, shape) reward is
+        evaluated and negated once."""
         m = self._matrices.get(action)
         if m is None:
             cols = []
+            negs = []
             for shape, slot in zip(info.shapes, info.slots):
-                row = self._rows.get(shape)
-                if row is None:
-                    row = np.array(
-                        [
-                            intermediate_reward(p, slot, self.stats)
-                            for p in self.profiles
-                        ]
-                    )
-                    self._rows[shape] = row
-                cols.append(row)
-            arr = np.column_stack(cols)
-            m = (arr, arr.tolist())
+                rows = self._rows.get(shape)
+                if rows is None:
+                    row = [
+                        intermediate_reward(p, slot, self.stats)
+                        for p in self.profiles
+                    ]
+                    rows = (row, [-r for r in row])
+                    self._rows[shape] = rows
+                cols.append(rows[0])
+                negs.append(rows[1])
+            m = (list(zip(*cols)), negs)
             self._matrices[action] = m
         return m
 
 
 def _conflict_search(
-    rewards: list[list[float]],
+    rewards: list[tuple[float, ...]],
     mem: list[float],
     dur2: list[float],
     domains: list[tuple[int, ...]],
@@ -195,7 +202,7 @@ def _conflict_search(
     # local lookup — score() runs thousands of times per search
     def score(
         binding: list[int],
-        rewards: list[list[float]] = rewards,
+        rewards: list[tuple[float, ...]] = rewards,
         mem: list[float] = mem,
         lamd: list[float] = lamd,
         dur2: list[float] = dur2,
@@ -563,8 +570,8 @@ class CoSchedulingEnv(Env):
     def _bind_fast(self, action: int) -> tuple[int, ...]:
         """The reference binder's answer, from the precomputed tables.
 
-        Replays the reference computation — optimal binding via the
-        Hungarian algorithm on the same reward matrix, the same
+        Replays the reference computation — the same LSAP solver on the
+        same (negated) rewards, the same
         conflict-aware local search, the same predictor arbitration
         (skipped entirely when both binders agree, which cannot change
         the outcome) — so the binding is identical.
@@ -572,11 +579,8 @@ class CoSchedulingEnv(Env):
         candidates = self._candidates(action)
         info = self._action_infos[action]
         ctx = self._ctx
-        m, m_list = ctx.matrix(info, action)
-        rows, cols = linear_sum_assignment(m[candidates, :], maximize=True)
-        b_opt = [0] * len(info.slots)
-        for j, s in zip(rows, cols):
-            b_opt[s] = int(j)
+        m_list, neg_by_slot = ctx.matrix(info, action)
+        b_opt = optimal_slot_binding(neg_by_slot, candidates)
         if self.binding == "optimal":
             binding = b_opt
         else:
@@ -610,7 +614,7 @@ class CoSchedulingEnv(Env):
         co-run of the bound jobs."""
         chosen = self.bind(action)
         info = self._action_infos[action]
-        _, m_list = self._ctx.matrix(info, action)
+        m_list, _ = self._ctx.matrix(info, action)
         r_is = tuple(m_list[i][s] for s, i in enumerate(chosen))
         group = ScheduledGroup.run([self._jobs[i] for i in chosen], info.tree)
         return chosen, r_is, group

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import (
-    MigError,
     PartitionError,
     ReconfigFaultError,
     SchedulingError,

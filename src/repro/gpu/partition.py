@@ -27,7 +27,7 @@ follows them; trailing shares without a CI occupy the GI's full scope.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import PartitionError
 from repro.gpu.arch import GpuSpec

@@ -12,10 +12,12 @@ parameters, without destabilizing the classification.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ProfileError
 from repro.gpu.arch import GpuSpec
 from repro.gpu.device import SimulatedGpu
 from repro.profiling.counters import HardwareCounters
@@ -39,6 +41,14 @@ class JobProfile:
     counters: HardwareCounters
     solo_time: float
     one_gpc_time: float
+
+    def __post_init__(self) -> None:
+        for name in ("solo_time", "one_gpc_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ProfileError(
+                    f"{self.benchmark_name}: {name} must be finite; "
+                    f"got {getattr(self, name)}"
+                )
 
     def to_dict(self) -> dict:
         return {
